@@ -1,0 +1,12 @@
+"""Put the benchmark modules and the program sources on the path.
+
+Run with ``pytest bench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "bench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
