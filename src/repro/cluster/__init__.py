@@ -14,7 +14,7 @@ from .resources import BufferPool, CorePool, InsufficientBuffersError
 from .simulation import (AllOf, AnyOf, Event, Interrupt, Process, Simulation,
                          SimulationError, Timeout)
 from .topology import Cluster
-from .trace import StepSeries, merge_step_series
+from .trace import StepSeries
 
 __all__ = [
     "AllOf", "AnyOf", "BufferPool", "Capacity", "Cluster", "CorePool",
@@ -22,5 +22,5 @@ __all__ = [
     "InsufficientBuffersError", "Interrupt", "MemoryAccount", "Node",
     "OutOfMemoryError", "Process", "Simulation", "SimulationError",
     "StepSeries", "Timeout", "fractional_max_min",
-    "grant_integer_max_min", "merge_step_series",
+    "grant_integer_max_min",
 ]

@@ -25,9 +25,11 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
-__all__ = ["StepSeries", "merge_step_series", "check_series_bounds"]
+import numpy as np
+
+__all__ = ["StepSeries", "check_series_bounds"]
 
 
 class StepSeries:
@@ -129,53 +131,52 @@ class StepSeries:
                 best = self.values[i]
         return best
 
-    def sample(self, start: float, end: float, step: float) -> Tuple[list, list]:
+    def sample(self, start: float, end: float, step: float
+               ) -> Tuple[np.ndarray, np.ndarray]:
         """Resample onto a uniform grid, averaging within each bucket.
 
-        Returns ``(grid_times, bucket_means)`` where ``grid_times[i]`` is the
-        left edge of bucket ``i``.  Averaging (rather than point sampling)
-        matches how monitoring agents such as *dstat* report utilisation.
+        Returns ``(grid_times, bucket_means)`` as float arrays, where
+        ``grid_times[i]`` is the left edge of bucket ``i``.  Averaging
+        (rather than point sampling) matches how monitoring agents such
+        as *dstat* report utilisation.
 
-        Single pass over the change points: the scan index only moves
-        forward across buckets (grid lefts are non-decreasing), so the
-        whole resample is O(points + buckets) instead of paying a bisect
-        plus a fresh scan per bucket.  The per-bucket arithmetic mirrors
-        :meth:`integral`/:meth:`mean` operation for operation, so the
-        results are bit-identical to the naive per-bucket evaluation.
+        Bucket edges come from ``searchsorted``; each bucket's integral
+        is then accumulated term by term across all buckets at once:
+        pass ``r`` adds the term ending at every bucket's ``r``-th
+        change point.  Each bucket thus sums exactly the terms
+        :meth:`integral` would, in the same order and starting from
+        zero, so the means are bitwise equal to an independent
+        ``integral(left, right) / (right - left)`` per bucket.  (No
+        ``reduceat``/pairwise sums: those would reorder the additions.)
         """
         if step <= 0:
             raise ValueError("step must be positive")
         n = max(1, math.ceil((end - start) / step))
-        grid = [start + i * step for i in range(n)]
-        times = self.times
-        values = self.values
-        npts = len(times)
-        means: List[float] = []
-        idx = 0  # == bisect_right(times, bucket_left), maintained forward
-        for left in grid:
-            while idx < npts and times[idx] <= left:
-                idx += 1
-            right = left + step
-            if right > end:
-                right = end
-            if right <= left:
-                means.append(0.0)
-                continue
-            total = 0.0
-            prev_t = left
-            prev_v = values[idx - 1] if idx > 0 else self.initial
-            i = idx
-            while i < npts:
-                t = times[i]
-                if t >= right:
-                    break
-                total += prev_v * (t - prev_t)
-                prev_t = t
-                prev_v = values[i]
-                i += 1
-            total += prev_v * (right - prev_t)
-            means.append(total / (right - left))
-        return grid, means
+        left = float(start) + np.arange(n) * float(step)
+        right = np.minimum(left + step, end)
+        width = right - left
+        live = width > 0
+        times = np.frombuffer(self.times)
+        # values_ext[i] is the value holding just before change point i.
+        values_ext = np.concatenate(([self.initial],
+                                     np.frombuffer(self.values)))
+        first = np.searchsorted(times, left, side="right")
+        count = np.where(live, np.searchsorted(times, right, side="left")
+                         - first, 0)
+        total = np.zeros(n)
+        prev_t = left.copy()
+        prev_v = values_ext[first]
+        for r in range(int(count.max())):
+            act = np.flatnonzero(count > r)
+            i = first[act] + r
+            t = times[i]
+            total[act] += prev_v[act] * (t - prev_t[act])
+            prev_t[act] = t
+            prev_v[act] = values_ext[i + 1]
+        total += prev_v * (right - prev_t)
+        means = np.zeros(n)
+        np.divide(total, width, out=means, where=live)
+        return left, means
 
 
 def check_series_bounds(
@@ -207,26 +208,3 @@ def check_series_bounds(
             problems.append(f"{name}: timestamps not monotone at index {i}")
             break
     return problems
-
-
-def merge_step_series(
-    series: Sequence[StepSeries],
-    start: float,
-    end: float,
-    step: float,
-) -> Tuple[list, list]:
-    """Resample several series on a common grid and sum them per bucket.
-
-    Used to aggregate a metric across the nodes of a cluster (e.g. total
-    disk I/O MiB/s) the same way the paper plots "aggregated values of all
-    nodes".
-    """
-    if not series:
-        return [], []
-    grids = [s.sample(start, end, step) for s in series]
-    times = grids[0][0]
-    summed = [0.0] * len(times)
-    for _, means in grids:
-        for i, v in enumerate(means):
-            summed[i] += v
-    return times, summed

@@ -359,7 +359,8 @@ class SparkRecoveryRuntime:
                 units = sum(committed_by_node.get(ni, 0.0) for ni in fresh)
                 if units <= 1e-12:
                     continue
-                key = f"lineage:{template.key}#{hist_i}@{self._seq}"
+                key = self._lineage_key(
+                    f"lineage:{template.key}#{hist_i}@{self._seq}")
                 spec, fractions = self._spec_from_units(
                     f"{template.name} (lineage recompute)", template.key,
                     totals, units, template)
@@ -380,6 +381,15 @@ class SparkRecoveryRuntime:
                                              + units_i)
         finally:
             self._in_lineage = False
+
+    def _lineage_key(self, base: str) -> str:
+        """``base``, or ``base~N`` when a stage already recomputed this
+        history entry (once at stage start, again from its retry loop)."""
+        key, n = base, 1
+        while key in self.state.ledger.accounts:
+            n += 1
+            key = f"{base}~{n}"
+        return key
 
 
 # ----------------------------------------------------------------------

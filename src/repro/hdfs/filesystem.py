@@ -53,9 +53,9 @@ class HDFS:
 
     def create_file(self, name: str, size: float) -> HdfsFile:
         f = self.namenode.create_file(name, size)
-        for block in f.blocks:
-            for node_index in block.replicas:
-                self.cluster.node(node_index).charge_disk_space(block.size)
+        stored = f.bytes_per_node(self.cluster.num_nodes).tolist()
+        for node, nbytes in zip(self.cluster.nodes, stored):
+            node.charge_disk_space(nbytes)
         return f
 
     def lookup(self, name: str) -> HdfsFile:
@@ -66,9 +66,9 @@ class HDFS:
 
     def delete(self, name: str) -> None:
         f = self.namenode.delete(name)
-        for block in f.blocks:
-            for node_index in block.replicas:
-                self.cluster.node(node_index).free_disk_space(block.size)
+        stored = f.bytes_per_node(self.cluster.num_nodes).tolist()
+        for node, nbytes in zip(self.cluster.nodes, stored):
+            node.free_disk_space(nbytes)
 
     # ------------------------------------------------------------------
     # data paths

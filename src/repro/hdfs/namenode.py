@@ -2,8 +2,17 @@
 
 Placement follows the HDFS default policy shape: the first replica goes
 to a rotating "writer" node, the remaining replicas to distinct other
-nodes chosen deterministically from a seeded RNG.  (The paper's
+nodes chosen uniformly at random from a seeded RNG.  (The paper's
 clusters sit in one Grid'5000 site, so there is no rack dimension.)
+
+All of a file's blocks are placed in one vectorized draw: a column-wise
+Floyd sample of ``replication - 1`` distinct non-primary nodes per block
+(``rng.integers``), then a per-row shuffle (``rng.permuted``) so the
+replica order is uniform too.  This is the same policy as drawing each
+block separately with ``rng.choice(replace=False)``, but it consumes the
+RNG differently, so a given seed yields different placements than that
+per-block draw did.  No simulated output depends on them: the engines
+read only the block size, never the replica locations.
 """
 
 from __future__ import annotations
@@ -46,12 +55,6 @@ class NameNode:
         self._rng = np.random.default_rng(seed)
         self._next_block_id = 0
         self._next_writer = 0
-        # Per-primary candidate arrays for replica placement, built
-        # lazily: every block with the same primary draws from the same
-        # "all nodes but the primary" population, so rebuilding the list
-        # (and converting it to an ndarray inside ``rng.choice``) per
-        # block is pure overhead on large files.
-        self._others: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def create_file(self, name: str, size: float) -> HdfsFile:
@@ -65,31 +68,36 @@ class NameNode:
             raise FileExistsInNamespaceError(f"file exists: {name}")
         if size < 0:
             raise ValueError(f"file size must be >= 0, got {size}")
-        f = HdfsFile(name=name, size=float(size), block_size=self.block_size)
         full_blocks = int(size // self.block_size)
         tail = size - full_blocks * self.block_size
-        sizes = [self.block_size] * full_blocks + ([tail] if tail > 0 else [])
-        for bsize in sizes:
-            f.blocks.append(self._place_block(bsize))
+        sizes = np.full(full_blocks + (tail > 0), self.block_size)
+        if tail > 0:
+            sizes[-1] = tail
+        f = HdfsFile(name=name, size=float(size), block_size=self.block_size,
+                     sizes=sizes, replicas=self._place(len(sizes)),
+                     first_block_id=self._next_block_id)
+        self._next_block_id += len(sizes)
         self.files[name] = f
         return f
 
-    def _place_block(self, size: float) -> Block:
-        primary = self._next_writer % self.num_nodes
-        self._next_writer += 1
-        others = self._others.get(primary)
-        if others is None:
-            others = np.array([i for i in range(self.num_nodes)
-                               if i != primary])
-            self._others[primary] = others
-        extra = []
-        if self.replication > 1 and len(others):
-            k = min(self.replication - 1, len(others))
-            extra = list(self._rng.choice(others, size=k, replace=False))
-        block = Block(block_id=self._next_block_id, size=size,
-                      replicas=tuple([primary] + [int(i) for i in extra]))
-        self._next_block_id += 1
-        return block
+    def _place(self, count: int) -> np.ndarray:
+        """Replica nodes for ``count`` new blocks, one row per block."""
+        nodes = self.num_nodes
+        primary = (self._next_writer + np.arange(count)) % nodes
+        self._next_writer += count
+        k = self.replication - 1
+        # Floyd: column c draws from the first ``others - k + c + 1``
+        # non-primary slots and takes the newest slot on a collision.
+        others = nodes - 1
+        picks = np.empty((count, k), dtype=np.int64)
+        for c, j in enumerate(range(others - k, others)):
+            draw = self._rng.integers(0, j + 1, size=count)
+            taken = (picks[:, :c] == draw[:, None]).any(axis=1)
+            picks[:, c] = np.where(taken, j, draw)
+        picks = self._rng.permuted(picks, axis=1)
+        # Slot s names node s, skipping over the row's primary.
+        picks += picks >= primary[:, None]
+        return np.column_stack((primary, picks))
 
     # ------------------------------------------------------------------
     def lookup(self, name: str) -> HdfsFile:
@@ -109,12 +117,8 @@ class NameNode:
 
     def bytes_stored_on(self, node_index: int) -> float:
         """Physical bytes (all replicas) stored on one datanode."""
-        total = 0.0
-        for f in self.files.values():
-            for b in f.blocks:
-                if node_index in b.replicas:
-                    total += b.size
-        return total
+        return sum(float(f.bytes_per_node(self.num_nodes)[node_index])
+                   for f in self.files.values())
 
     def locality_map(self, name: str) -> Dict[int, List[Block]]:
         """node index -> blocks with a local replica, for task scheduling."""

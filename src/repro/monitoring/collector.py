@@ -75,7 +75,7 @@ class ClusterMonitor:
         if end <= start:
             raise ValueError(f"empty window [{start}, {end}]")
         scale = self._scale(metric)
-        grid: Optional[List[float]] = None
+        grid: Optional[np.ndarray] = None
         acc: Optional[np.ndarray] = None
         n = 0
         # Accumulate across nodes with elementwise numpy adds *in node
@@ -93,13 +93,13 @@ class ClusterMonitor:
                 if grid is None:
                     grid = times
                     acc = np.zeros(len(grid))
-                vals = np.asarray(means) * scale
+                vals = means * scale
                 node_total = vals if node_total is None else node_total + vals
             n += 1
             if node_total is not None:
                 acc += node_total
         assert grid is not None and acc is not None
-        return MetricFrame(metric=metric, times=grid,
+        return MetricFrame(metric=metric, times=grid.tolist(),
                            mean=(acc / n).tolist(), total=acc.tolist(),
                            num_nodes=n)
 

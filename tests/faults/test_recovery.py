@@ -220,3 +220,16 @@ def test_checkpoint_whatif_monotone():
     for w in whatifs:
         assert w.redone_work_saved >= 0.0
         assert w.checkpoint_overhead >= 0.0
+
+
+def test_lineage_recomputed_twice_in_one_stage_gets_unique_key():
+    """A crash before a stage and another during it make the stage
+    recompute the same history entry twice (at stage start, then from
+    the retry loop); the second ledger account must not collide with
+    the first, or the cell becomes a campaign gap."""
+    from repro.harness.figures import fig19_resilience
+    fig = fig19_resilience(seed=0, nodes=8, rates=(1.0,), trials=2,
+                           workload_names=("pagerank",), strict=True)
+    assert fig.gaps == []
+    spark = [c for c in fig.cells if c.engine == "spark"]
+    assert len(spark) == 2 and all(c.success for c in spark)

@@ -1,5 +1,6 @@
 """Tests for the simulated HDFS substrate."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,3 +191,127 @@ def test_bytes_stored_accounting():
     total = sum(nn.bytes_stored_on(i) for i in range(4))
     assert total == pytest.approx(512 * MiB)
     assert nn.total_bytes() == pytest.approx(256 * MiB)
+
+
+# ----------------------------------------------------------------------
+# Vectorized placement
+# ----------------------------------------------------------------------
+def test_replicas_distinct_and_primaries_round_robin_across_files():
+    nn = NameNode(num_nodes=7, block_size=1 * MiB, replication=3, seed=5)
+    files = [nn.create_file(f"f{i}", size * MiB)
+             for i, size in enumerate((10, 3.5, 0, 22))]
+    primaries = []
+    for f in files:
+        assert f.replicas.shape == (f.num_blocks, 3)
+        for row in f.replicas.tolist():
+            assert len(set(row)) == 3
+            assert all(0 <= node < 7 for node in row)
+        primaries += f.replicas[:, 0].tolist()
+    # The writer rotation carries over from one file to the next.
+    assert primaries == [i % 7 for i in range(len(primaries))]
+    ids = [b.block_id for f in files for b in f.blocks]
+    assert ids == list(range(len(ids)))
+
+
+@pytest.mark.parametrize("nodes,replication", [(1, 3), (2, 3), (3, 3),
+                                               (5, 8), (6, 1)])
+def test_replication_cap_holds(nodes, replication):
+    nn = NameNode(num_nodes=nodes, block_size=1 * MiB,
+                  replication=replication)
+    f = nn.create_file("data", 40 * MiB)
+    width = min(nodes, replication)
+    assert nn.replication == width
+    assert f.replicas.shape == (40, width)
+    for row in f.replicas.tolist():
+        assert sorted(set(row)) == sorted(row)
+
+
+def test_same_seed_same_placement():
+    def place(seed):
+        nn = NameNode(num_nodes=9, block_size=1 * MiB, seed=seed)
+        return [nn.create_file(name, 50 * MiB).replicas.tolist()
+                for name in ("a", "b")]
+
+    assert place(11) == place(11)
+    assert place(11) != place(12)
+
+
+def test_non_primary_replicas_uniform_chi_square():
+    # Each replica column, given its primary, should be uniform over the
+    # other nodes.  48 degrees of freedom (8 primaries x 6); the 0.1%
+    # upper critical value of chi-square(48) is 84.04.
+    nodes, blocks = 8, 16000
+    nn = NameNode(num_nodes=nodes, block_size=1 * MiB, replication=3,
+                  seed=2)
+    reps = nn.create_file("data", blocks * MiB).replicas
+    expected = blocks / nodes / (nodes - 1)
+    for col in (1, 2):
+        counts = np.zeros((nodes, nodes))
+        np.add.at(counts, (reps[:, 0], reps[:, col]), 1)
+        assert np.all(np.diag(counts) == 0)
+        off = counts[~np.eye(nodes, dtype=bool)]
+        stat = float(((off - expected) ** 2 / expected).sum())
+        assert stat < 84.04, (col, stat)
+
+
+def test_lazy_blocks_match_arrays():
+    nn = NameNode(num_nodes=5, block_size=64 * MiB, replication=2, seed=3)
+    nn.create_file("first", 100 * MiB)
+    f = nn.create_file("data", 300 * MiB)
+    blocks = f.blocks
+    assert blocks is f.blocks  # built once
+    assert [b.block_id for b in blocks] == [2, 3, 4, 5, 6]
+    assert [b.size for b in blocks] == f.sizes.tolist()
+    assert [list(b.replicas) for b in blocks] == f.replicas.tolist()
+    assert all(isinstance(n, int) for b in blocks for n in b.replicas)
+    assert f.blocks_local_to(int(f.replicas[0, 1]))[0] is blocks[0]
+
+
+def test_disk_charge_totals_size_times_replicas():
+    cluster, hdfs = make_hdfs(6, block_size=64 * MiB, replication=3)
+    hdfs.create_file("a", 1000 * MiB)
+    hdfs.create_file("b", 10 * MiB)
+    charged = [n.disk_used_bytes for n in cluster.nodes]
+    assert sum(charged) == pytest.approx(1010 * MiB * 3)
+    expected = [0.0] * 6
+    for name in ("a", "b"):
+        for b in hdfs.lookup(name).blocks:
+            for node in b.replicas:
+                expected[node] += b.size
+    assert charged == pytest.approx(expected)
+    hdfs.delete("a")
+    hdfs.delete("b")
+    assert sum(n.disk_used_bytes for n in cluster.nodes) == 0.0
+
+
+@pytest.mark.parametrize("engine", ["spark", "flink"])
+def test_namenode_seed_does_not_change_runs(monkeypatch, engine):
+    """Placements feed no simulated output: reseeding only the namenode
+    leaves run durations and kernel event counts unchanged."""
+    from repro.config.presets import terasort_preset, wordcount_grep_preset
+    from repro.harness import runner
+    from repro.workloads import TeraSort, WordCount
+
+    cases = [(WordCount(total_bytes=4 * GiB), wordcount_grep_preset(4)),
+             (TeraSort(total_bytes=4 * GiB), terasort_preset(4))]
+
+    placements = []
+
+    def runs(seed_offset):
+        class ReseededHDFS(HDFS):
+            def __init__(self, cluster, seed=0, **kw):
+                super().__init__(cluster, seed=seed + seed_offset, **kw)
+                placements.append(self.namenode)
+
+        monkeypatch.setattr(runner, "HDFS", ReseededHDFS)
+        out = []
+        for workload, config in cases:
+            result = runner.run_once(engine, workload, config, seed=1)
+            assert result.success
+            out.append((result.duration, result.sim_events))
+        return out
+
+    assert runs(0) == runs(1000)
+    before, after = ([f.replicas.tolist() for f in nn.files.values()]
+                     for nn in (placements[0], placements[len(cases)]))
+    assert before != after
