@@ -27,6 +27,18 @@ Two entry points share this contract:
   *that task only* (recorded as a :class:`TaskFailure` with full task
   identity, optionally retried with exponential backoff); every other
   task still completes and the results keep their task-order slots.
+
+:func:`robust_map` and the service's
+:class:`~repro.serve.pool.AsyncWorkerPool` share one kind of worker: a
+*warm* forked process running :func:`_worker_loop`, which takes
+``(fn, args)`` requests over a duplex pipe until EOF.  Each worker slot
+keeps its process across tasks, so cluster set-up runs in a warm heap
+instead of a freshly forked one.  An attempt that crashes, times out
+or is cancelled SIGKILLs the worker running it; the next attempt gets
+a fresh fork.  Reuse cannot change a result, for the same reason the
+fan-out cannot: no module-level state carries from one task to the
+next (every RNG is a seeded generator, and the global flow-id counter
+only orders flows inside one run).
 """
 
 from __future__ import annotations
@@ -246,34 +258,89 @@ def parallel_map(fn: Callable, tasks: Sequence[Tuple],
 
 
 # ----------------------------------------------------------------------
+# warm workers, shared with repro.serve.pool
+# ----------------------------------------------------------------------
+def _worker_loop(conn, parent_end) -> None:
+    """Warm worker body: run ``(fn, args)`` requests until EOF.
+
+    Replies ``("ok", result)`` or ``("err", type name, message)``.
+    Exceptions travel as plain strings, so an unpicklable exception
+    cannot take the channel down with it.  A worker that dies shows up
+    in the parent as EOF on the pipe, and a parent that dies shows up
+    here the same way, so no worker outlives it.
+    """
+    parent_end.close()  # the fork copied it; holding it would hide EOF
+    _ignore_sigint()
+    # Forked from the asyncio service, a worker inherits the loop's
+    # SIGTERM handler and signal wakeup fd: a SIGTERM would then wake
+    # the service's loop instead of ending the worker.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = ("ok", fn(*args))
+        except Exception as exc:
+            reply = ("err", type(exc).__name__, str(exc))
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent is gone
+
+
+class _Worker:
+    """One warm worker: a forked daemonic process running
+    :func:`_worker_loop`, and the parent's end of its pipe.
+
+    Daemonic, so a pool nobody closed never blocks interpreter exit
+    (a daemonic worker cannot fork workers of its own).
+    """
+
+    __slots__ = ("conn", "proc")
+
+    def __init__(self) -> None:
+        ctx = get_context("fork")
+        self.conn, child = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(target=_worker_loop,
+                                args=(child, self.conn), daemon=True)
+        self.proc.start()
+        child.close()
+
+    @classmethod
+    def checkout(cls, idle: List["_Worker"]) -> "_Worker":
+        """A live worker from ``idle``, else a fresh fork.  A worker
+        killed while idle is reaped here and costs no attempt."""
+        while idle:
+            worker = idle.pop()
+            if worker.proc.is_alive():
+                return worker
+            worker.stop()
+        return cls()
+
+    def send(self, fn: Callable, args: Tuple) -> None:
+        try:
+            self.conn.send((fn, args))
+        except OSError:
+            pass  # died since checkout: the EOF that follows reports it
+
+    def stop(self) -> None:
+        """SIGKILL the worker and reap it; idempotent."""
+        self.conn.close()
+        self.proc.kill()
+        self.proc.join()
+
+
+# ----------------------------------------------------------------------
 # robust_map: graceful degradation for long campaigns
 # ----------------------------------------------------------------------
-def _robust_child(fn: Callable, index: int, args: Tuple, conn) -> None:
-    """Worker entry: run one task, report ("ok", result) or ("err", ...).
-
-    Any exception is reported as plain strings (type name + message), so
-    unpicklable exceptions cannot take the report channel down with
-    them.  A worker that dies before sending anything is detected by
-    the parent as a crash.
-    """
-    _ignore_sigint()
-    try:
-        try:
-            result = fn(*args)
-        except Exception as exc:
-            conn.send(("err", type(exc).__name__, str(exc)))
-            return
-        conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
 @dataclass
 class _Running:
     index: int
     attempts: int
-    proc: Any
-    conn: Any
+    worker: _Worker
     started: float
 
 
@@ -292,9 +359,12 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
     count.  The campaign itself always completes — graceful degradation
     instead of abort.
 
-    With ``jobs >= 2`` each task runs in its own worker process, so a
-    hung task can be killed (``timeout`` seconds of wall clock, checked
-    every ~50 ms) and a crashed worker takes down only its own task.
+    With ``jobs >= 2`` tasks run in up to ``jobs`` warm worker
+    processes, kept for this call and reaped when it returns.  A hung
+    task is killed with its worker (``timeout`` seconds of wall clock,
+    checked every ~50 ms), and a crashed worker takes down only its
+    own task; either way the next task gets a fresh fork.  ``fn``, the
+    task arguments and the results cross a pipe, so all must pickle.
     Failed tasks are retried up to ``retries`` times with exponential
     backoff (``backoff * 2**(attempt-1)`` seconds before relaunch).
 
@@ -333,12 +403,12 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
                 failures.append(failure)
         return results, failures
 
-    ctx = get_context()
     #: (index, attempts_so_far, earliest_start) — retries wait out
     #: their backoff without blocking other tasks.
     queue: List[Tuple[int, int, float]] = [(i, 0, 0.0)
                                            for i in range(len(tasks))]
     running: List[_Running] = []
+    idle: List[_Worker] = []
 
     def _fail_or_retry(run: _Running, kind: str, error_type: str,
                        message: str) -> None:
@@ -352,10 +422,6 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
             args_repr=_args_repr(tasks[run.index]), kind=kind,
             error_type=error_type, message=message, attempts=attempts))
 
-    def _reap(run: _Running) -> None:
-        run.conn.close()
-        run.proc.join()
-
     try:
         while queue or running:
             now = time.monotonic()
@@ -363,36 +429,33 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
             queue.sort(key=lambda q: (q[2], q[0]))
             while queue and len(running) < jobs and queue[0][2] <= now:
                 index, attempts, _ = queue.pop(0)
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_robust_child,
-                    args=(fn, index, tasks[index], child_conn))
-                proc.start()
-                child_conn.close()
+                worker = _Worker.checkout(idle)
                 running.append(_Running(index=index, attempts=attempts,
-                                        proc=proc, conn=parent_conn,
+                                        worker=worker,
                                         started=time.monotonic()))
+                worker.send(fn, tasks[index])
             if not running:
                 # Only backed-off retries remain: sleep to eligibility.
                 if queue:
                     time.sleep(max(0.0, min(
                         queue[0][2] - time.monotonic(), _POLL_SECONDS)))
                 continue
-            ready = _conn_wait([r.conn for r in running],
+            ready = _conn_wait([r.worker.conn for r in running],
                                timeout=_POLL_SECONDS)
-            for run in [r for r in running if r.conn in ready]:
+            for run in [r for r in running if r.worker.conn in ready]:
                 running.remove(run)
                 try:
-                    kind_payload = run.conn.recv()
+                    kind_payload = run.worker.conn.recv()
                 except (EOFError, OSError):
                     # Closed without a report: the worker died.
-                    _reap(run)
+                    run.worker.stop()
                     _fail_or_retry(
                         run, "crash", "WorkerCrashError",
-                        f"worker exited with code {run.proc.exitcode} "
-                        f"before reporting a result")
+                        f"worker exited with code "
+                        f"{run.worker.proc.exitcode} before reporting "
+                        f"a result")
                     continue
-                _reap(run)
+                idle.append(run.worker)
                 if kind_payload[0] == "ok":
                     results[run.index] = kind_payload[1]
                     if on_result is not None:
@@ -405,16 +468,12 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
                 for run in [r for r in running
                             if now - r.started > timeout]:
                     running.remove(run)
-                    run.proc.terminate()
-                    run.proc.join()
-                    run.conn.close()
+                    run.worker.stop()
                     _fail_or_retry(
                         run, "timeout", "TrialTimeout",
                         f"exceeded the per-task timeout of {timeout}s")
     finally:
-        for run in running:  # pragma: no cover - interrupt cleanup
-            run.proc.terminate()
-            run.proc.join()
-            run.conn.close()
+        for worker in idle + [r.worker for r in running]:
+            worker.stop()
     failures.sort(key=lambda f: f.index)
     return results, failures

@@ -7,37 +7,50 @@ concurrently, with real cancellation: when a request's deadline fires
 or the service drains, the simulation work in flight for it must stop
 consuming a core, not just be abandoned.
 
-:class:`AsyncWorkerPool` runs each task attempt in its own forked
-process (reusing :func:`repro.harness.parallel._robust_child`, so a
-crash or SIGKILL can only take down that attempt) and awaits the result
-pipe on the event loop.  Guarantees:
+:class:`AsyncWorkerPool` keeps up to ``jobs`` warm worker processes
+for its lifetime, one per slot, running the same worker loop as
+``robust_map`` (:func:`repro.harness.parallel._worker_loop`), and
+awaits each reply on the event loop.  A worker is forked on first use
+and serves attempt after attempt; an attempt that fails by crash,
+timeout or cancellation SIGKILLs its worker, and the slot's next
+attempt gets a fresh fork.  Guarantees:
 
-* a worker that dies raises :class:`TaskCrashed` (retried with
-  exponential backoff up to ``retries``);
+* a worker that dies raises :class:`TaskCrashed` for the attempt it
+  was running only (retried with exponential backoff up to
+  ``retries``); a worker killed while idle is replaced before its next
+  attempt and costs no attempt at all;
 * an attempt exceeding ``task_timeout`` is SIGKILLed and raises
   :class:`TaskTimedOut` (also retried);
 * cancelling the awaiting coroutine — a request deadline, a drain —
-  SIGKILLs the in-flight child *before* the cancellation propagates:
+  SIGKILLs the in-flight worker *before* the cancellation propagates:
   no orphaned simulation keeps burning CPU for an answer nobody wants;
 * every attempt outcome is reported to the optional circuit breaker
-  and counted on the serving ledger, so the accounting always balances.
+  and counted on the serving ledger, so the accounting always balances;
+* :meth:`AsyncWorkerPool.close` reaps the idle workers.  Workers are
+  daemonic, so a pool nobody closed never blocks interpreter exit.
+
+Workers use the ``fork`` start method, for three reasons: they must
+inherit the imported simulator (and, in traced benchmark runs, the
+layer wrappers installed around it); they stay direct children of the
+service, where the CI churn job finds them with ``pgrep -P``; and
+forking is safe because the service process is single-threaded (only
+``MainThread`` runs after :meth:`AdvisorService.start`).  A worker
+forked while a connection is open inherits that socket, which is why
+the service ends every reply with an explicit FIN.
 
 ``chaos`` is the deterministic fault-injection hook for the chaos
 harness: consulted before each attempt with ``(tag, attempt)``, it may
-return ``"kill"`` to replace the worker with one that SIGKILLs itself
-immediately — a real process death, with none of the nondeterminism of
+return ``"kill"`` to SIGKILL the attempt's worker instead of sending it
+the task — a real process death, with none of the nondeterminism of
 racing a signal against real work.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import signal
-from multiprocessing import get_context
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from ..harness.parallel import _robust_child
+from ..harness.parallel import _Worker
 from .breaker import CircuitBreaker
 from .ledger import ServingLedger
 
@@ -67,13 +80,9 @@ class TaskFailed(PoolError):
         self.message = message
 
 
-def _chaos_suicide() -> None:  # pragma: no cover - dies immediately
-    """Chaos worker body: a real, immediate SIGKILL death."""
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 class AsyncWorkerPool:
-    """Bounded async fan-out of module-level functions to processes."""
+    """Bounded async fan-out of module-level functions to warm worker
+    processes."""
 
     def __init__(self, jobs: int = 2, task_timeout: float = 30.0,
                  retries: int = 1, backoff: float = 0.05,
@@ -96,7 +105,9 @@ class AsyncWorkerPool:
         self.breaker = breaker
         self.chaos = chaos
         self._slots = asyncio.Semaphore(jobs)
-        self._ctx = get_context()
+        #: Warm workers not running an attempt; with the ones that are,
+        #: never more than ``jobs``.
+        self._idle: List[_Worker] = []
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -138,31 +149,17 @@ class AsyncWorkerPool:
     async def _attempt(self, fn: Callable, args: Tuple, tag: str,
                        attempt: int) -> Any:
         async with self._slots:
-            loop = asyncio.get_running_loop()
             action = self.chaos(tag, attempt) if self.chaos else None
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            if action == "kill":
-                proc = self._ctx.Process(target=_chaos_suicide)
-            else:
-                proc = self._ctx.Process(
-                    target=_robust_child, args=(fn, 0, args, child_conn))
-            self.ledger.sim_attempts += 1
-            proc.start()
-            child_conn.close()
-            readable: asyncio.Future = loop.create_future()
-            fd = parent_conn.fileno()
-            loop.add_reader(fd, lambda: (not readable.done()
-                                         and readable.set_result(None)))
+            worker = _Worker.checkout(self._idle)
+            reusable = False
             try:
+                if action == "kill":
+                    worker.proc.kill()
+                else:
+                    worker.send(fn, args)
+                self.ledger.sim_attempts += 1
                 try:
-                    # asyncio.wait, not wait_for: on 3.10/3.11 a
-                    # wait_for whose inner future completes in the same
-                    # tick as a cancellation SWALLOWS the cancellation
-                    # (gh-86296) — here that would leave a drained
-                    # request's retry loop running to its full deadline.
-                    done, _ = await asyncio.wait(
-                        (readable,), timeout=self.task_timeout)
-                    if not done:
+                    if not await self._readable(worker.conn):
                         self.ledger.sim_timeout += 1
                         raise TaskTimedOut(
                             f"attempt {attempt} exceeded the "
@@ -173,25 +170,47 @@ class AsyncWorkerPool:
                     self.ledger.sim_cancelled += 1
                     raise
                 try:
-                    kind_payload = parent_conn.recv()
+                    kind_payload = worker.conn.recv()
                 except (EOFError, OSError):
                     self.ledger.sim_crashed += 1
+                    worker.stop()
                     raise TaskCrashed(
-                        f"worker exited with code {proc.exitcode} before "
-                        f"reporting (attempt {attempt})") from None
+                        f"worker exited with code {worker.proc.exitcode} "
+                        f"before reporting (attempt {attempt})") from None
+                reusable = True
                 if kind_payload[0] == "ok":
                     self.ledger.sim_ok += 1
                     return kind_payload[1]
                 self.ledger.sim_error += 1
                 raise TaskFailed(kind_payload[1], kind_payload[2])
             finally:
-                loop.remove_reader(fd)
-                if proc.is_alive():
-                    proc.kill()
-                proc.join()
-                parent_conn.close()
+                if reusable and not self._closed:
+                    self._idle.append(worker)
+                else:
+                    worker.stop()
+
+    async def _readable(self, conn) -> bool:
+        """Wait until ``conn`` has a reply (or EOF); False on timeout."""
+        loop = asyncio.get_running_loop()
+        readable: asyncio.Future = loop.create_future()
+        fd = conn.fileno()
+        loop.add_reader(fd, lambda: (not readable.done()
+                                     and readable.set_result(None)))
+        try:
+            # asyncio.wait, not wait_for: on 3.10/3.11 a wait_for whose
+            # inner future completes in the same tick as a cancellation
+            # SWALLOWS the cancellation (gh-86296) — here that would
+            # leave a drained request's retry loop running to its full
+            # deadline.
+            done, _ = await asyncio.wait((readable,),
+                                         timeout=self.task_timeout)
+        finally:
+            loop.remove_reader(fd)
+        return bool(done)
 
     async def close(self) -> None:
-        """Refuse new work (in-flight attempts own their processes and
-        clean up in their ``finally`` blocks)."""
+        """Refuse new work and reap the idle workers.  An attempt still
+        in flight reaps its own worker when it ends."""
         self._closed = True
+        while self._idle:
+            self._idle.pop().stop()

@@ -14,21 +14,23 @@ Robustness is the contract, not a wishlist — each guarantee maps to a
 ledger bucket and a chaos test:
 
 * **deadlines cancel work** — a request past its deadline gets a 504
-  *and* its in-flight simulation child is SIGKILLed (no orphaned work);
+  *and* its in-flight simulation worker is SIGKILLed (no orphaned work);
 * **bounded admission** — more than ``queue_limit`` concurrent plans
   sheds with 429 + ``Retry-After``, it never queues unboundedly;
 * **circuit breaker** — repeated worker crashes/timeouts trip it;
   while open, plans shed with 503 + ``Retry-After`` instead of feeding
   a sick pool; half-open probes recover it;
-* **crash retry** — worker deaths are retried with exponential backoff
-  before the request fails with 500;
+* **crash retry** — worker deaths fail only the attempt they hit, and
+  are retried on a fresh worker with exponential backoff before the
+  request fails with 500;
 * **verified cache** — corrupt entries are quarantined and recomputed,
   never served;
 * **liveness vs readiness** — ``/healthz`` answers as long as the loop
   runs; ``/readyz`` says whether new work is welcome;
 * **graceful drain** — SIGTERM stops admission, lets in-flight
   requests finish within ``drain_grace``, sheds the rest explicitly,
-  flushes the cache journal, and leaves ``in_flight == 0``.
+  reaps the simulation workers, flushes the cache journal, and leaves
+  ``in_flight == 0``.
 
 Every request terminates in exactly one
 :class:`~repro.serve.ledger.ServingLedger` bucket;
@@ -161,7 +163,7 @@ class AdvisorService:
 
     async def shutdown(self) -> None:
         """Graceful drain: stop admitting, finish or shed in-flight,
-        flush the cache journal.  Idempotent."""
+        reap the workers, flush the cache journal.  Idempotent."""
         if self._draining:
             return
         self._draining = True
@@ -230,6 +232,13 @@ class AdvisorService:
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; the ledger already has a bucket
         finally:
+            # FIN first: a worker forked while this connection was open
+            # holds a copy of its socket, so closing our descriptor
+            # alone would leave the client waiting for that worker.
+            try:
+                writer.write_eof()
+            except OSError:
+                pass
             try:
                 writer.close()
                 await writer.wait_closed()

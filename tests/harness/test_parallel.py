@@ -9,6 +9,7 @@ crashes) and the ``jobs`` resolution rules.
 """
 
 import math
+import multiprocessing
 import os
 import time
 
@@ -17,9 +18,11 @@ import pytest
 from repro.config.presets import wordcount_grep_preset
 from repro.harness import figures
 from repro.harness.parallel import (ENV_JOBS, TaskFailure,
-                                    WorkerCrashError, parallel_map,
-                                    resolve_jobs, robust_map)
+                                    WorkerCrashError, _Worker,
+                                    parallel_map, resolve_jobs, robust_map)
 from repro.harness.sweep import sweep
+from repro.resilience import default_workloads
+from repro.resilience.sweep import _cell_task
 from repro.validation.digest import (digest_payload, fault_payload,
                                      scaling_payload)
 from repro.workloads import WordCount
@@ -171,6 +174,83 @@ def test_robust_map_retries_record_attempts():
     assert results == [None]
     assert failures[0].attempts == 3
     assert "3 attempt(s)" in failures[0].describe()
+
+
+# ----------------------------------------------------------------------
+# warm workers
+# ----------------------------------------------------------------------
+def _pid(_x):
+    return os.getpid()
+
+
+def _pid_unless(mode, pid_file):
+    """Record this worker's pid, then return it, crash or hang."""
+    with open(pid_file, "w") as fh:
+        fh.write(str(os.getpid()))
+    if mode == "crash":
+        os._exit(1)
+    if mode == "hang":
+        time.sleep(60)
+    return os.getpid()
+
+
+def _reaped(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _child_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_robust_map_reuses_warm_workers_and_reaps_them():
+    before = _child_pids()
+    results, failures = robust_map(_pid, [(i,) for i in range(8)], jobs=2)
+    assert not failures
+    assert len(set(results)) <= 2 and os.getpid() not in results
+    assert _child_pids() - before == set()
+    assert all(_reaped(pid) for pid in results)
+
+
+@pytest.mark.parametrize("mode", ["crash", "hang"])
+def test_robust_map_replaces_a_failed_worker(mode, tmp_path):
+    before = _child_pids()
+    pid_file = tmp_path / "pid"
+    tasks = [(mode, str(pid_file))] + [("ok", str(tmp_path / f"{i}"))
+                                       for i in range(4)]
+    results, failures = robust_map(_pid_unless, tasks, jobs=2, timeout=2.0)
+    assert [(f.index, f.kind) for f in failures] == [
+        (0, "crash" if mode == "crash" else "timeout")]
+    assert _reaped(int(pid_file.read_text()))
+    assert _child_pids() - before == set()
+
+
+def _ask(worker, fn, *args):
+    worker.send(fn, args)
+    assert worker.conn.poll(120), "the worker never replied"
+    reply = worker.conn.recv()
+    assert reply[0] == "ok", reply
+    return reply[1]
+
+
+def test_warm_worker_cell_is_bit_identical_to_a_fresh_one():
+    (name_a, wl_a, cfg_a), (name_b, wl_b, cfg_b) = [
+        w for w in default_workloads(nodes=4)
+        if w[0] in ("terasort", "wordcount")]
+    cell_a = ("flink", wl_a, cfg_a, name_a, 1.0, 0, 3, 0, True)
+    cell_b = ("spark", wl_b, cfg_b, name_b, 1.0, 0, 7, 0, True)
+    warm, fresh = _Worker(), _Worker()
+    try:
+        _ask(warm, _cell_task, *cell_a)
+        reused = _ask(warm, _cell_task, *cell_b)
+        alone = _ask(fresh, _cell_task, *cell_b)
+    finally:
+        warm.stop()
+        fresh.stop()
+    assert digest_payload(reused) == digest_payload(alone)
 
 
 def test_task_failure_describe_is_informative():

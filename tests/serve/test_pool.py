@@ -1,13 +1,26 @@
-"""AsyncWorkerPool: isolation, retry, timeout, real cancellation."""
+"""AsyncWorkerPool: isolation, retry, timeout, real cancellation,
+warm-worker lifecycle."""
 
 import asyncio
+import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
-from repro.serve import (AsyncWorkerPool, CircuitBreaker, ServingLedger,
-                         TaskCrashed, TaskFailed, TaskTimedOut)
+from repro.serve import (AsyncWorkerPool, CapacityQuery, CircuitBreaker,
+                         ServingLedger, TaskCrashed, TaskFailed,
+                         TaskTimedOut, candidate_descriptors,
+                         evaluate_candidate)
+from repro.validation.digest import digest_payload
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def _square(x):
@@ -24,6 +37,15 @@ def _raise():
 
 def _sleep_forever():
     time.sleep(600)
+
+
+def _pid():
+    return os.getpid()
+
+
+def _in_worker(fn, *args):
+    """``fn(*args)`` and the pid of the process that computed it."""
+    return os.getpid(), fn(*args)
 
 
 def run(coro):
@@ -174,3 +196,198 @@ def test_rejects_bad_parameters():
         AsyncWorkerPool(task_timeout=0)
     with pytest.raises(ValueError):
         AsyncWorkerPool(retries=-1)
+
+
+# ----------------------------------------------------------------------
+# warm workers
+# ----------------------------------------------------------------------
+def _reaped(pid):
+    """True once ``pid`` is gone: dead *and* waited for."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _child_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_consecutive_attempts_reuse_one_worker():
+    async def main():
+        pool = AsyncWorkerPool(jobs=1)
+        pids = [await pool.run(_pid, ()) for _ in range(3)]
+        assert len(set(pids)) == 1 and pids[0] != os.getpid()
+        assert pool.ledger.sim_attempts == pool.ledger.sim_ok == 3
+        await pool.close()
+    run(main())
+
+
+async def _fail_by_crash(pool):
+    with pytest.raises(TaskCrashed):
+        await pool.run(_crash, ())
+
+
+async def _fail_by_timeout(pool):
+    pool.task_timeout = 0.3
+    with pytest.raises(TaskTimedOut):
+        await pool.run(_sleep_forever, ())
+    pool.task_timeout = 30.0
+
+
+async def _fail_by_cancel(pool):
+    task = asyncio.ensure_future(pool.run(_sleep_forever, ()))
+    while pool.ledger.sim_attempts < 2:
+        await asyncio.sleep(0.01)
+    task.cancel()
+    with pytest.raises(asyncio.CancelledError):
+        await task
+
+
+async def _fail_by_chaos_kill(pool):
+    pool.chaos = lambda tag, attempt: "kill" if tag == "victim" else None
+    with pytest.raises(TaskCrashed):
+        await pool.run(_square, (2,), tag="victim")
+
+
+@pytest.mark.parametrize("fail", [_fail_by_crash, _fail_by_timeout,
+                                  _fail_by_cancel, _fail_by_chaos_kill],
+                         ids=["crash", "timeout", "cancel", "chaos-kill"])
+def test_failed_attempt_replaces_the_worker(fail):
+    async def main():
+        pool = AsyncWorkerPool(jobs=1, retries=0)
+        first = await pool.run(_pid, ())
+        await fail(pool)
+        assert _reaped(first), "the failed attempt's worker is reaped"
+        second = await pool.run(_pid, ())
+        assert second != first, "the next attempt gets a fresh fork"
+        snap = pool.ledger.snapshot()
+        assert snap["sim_attempts"] == 3 and snap["sim_ok"] == 2
+        await pool.close()
+    run(main())
+
+
+def test_idle_worker_killed_from_outside_costs_no_attempt():
+    # The CI churn job SIGKILLs whatever child it finds, idle or busy.
+    async def main():
+        pool = AsyncWorkerPool(jobs=1, retries=0)
+        first = await pool.run(_pid, ())
+        os.kill(first, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while first in _child_pids():  # waits for (and reaps) the death
+            assert time.monotonic() < deadline
+            await asyncio.sleep(0.01)
+        second = await pool.run(_pid, ())
+        assert second != first
+        snap = pool.ledger.snapshot()
+        assert snap["sim_crashed"] == 0
+        assert snap["sim_attempts"] == snap["sim_ok"] == 2
+        await pool.close()
+    run(main())
+
+
+def test_close_reaps_every_worker():
+    async def main():
+        before = _child_pids()
+        pool = AsyncWorkerPool(jobs=2)
+        pids = await asyncio.gather(*(pool.run(_pid, ())
+                                      for _ in range(6)))
+        assert len(set(pids)) <= 2
+        assert set(pids) <= _child_pids(), "workers stay warm"
+        await pool.close()
+        assert _child_pids() - before == set()
+        assert all(_reaped(pid) for pid in pids)
+    run(main())
+
+
+def test_unclosed_pool_does_not_block_interpreter_exit():
+    # The signal handler mirrors the service's: a worker forked under
+    # it must still die of the SIGTERM sent to daemonic children at
+    # exit.
+    script = textwrap.dedent("""
+        import asyncio, signal
+        from repro.serve import AsyncWorkerPool
+
+        def _square(x):
+            return x * x
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, lambda: None)
+            pool = AsyncWorkerPool(jobs=2)
+            assert await pool.run(_square, (3,)) == 9
+
+        asyncio.run(main())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 0, result.stderr
+
+
+def _gone(pid):
+    """Dead, whether or not the adopting init has reaped it yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    # A SIGKILLed parent runs no cleanup; its idle workers must notice
+    # the EOF on their pipes and exit on their own.
+    script = textwrap.dedent("""
+        import asyncio, os, time
+        from repro.serve import AsyncWorkerPool
+
+        def _pid():
+            return os.getpid()
+
+        async def main():
+            pool = AsyncWorkerPool(jobs=2)
+            pids = await asyncio.gather(pool.run(_pid, ()),
+                                        pool.run(_pid, ()))
+            print(*sorted(set(pids)), flush=True)
+            time.sleep(60)
+
+        asyncio.run(main())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    with subprocess.Popen([sys.executable, "-c", script], env=env,
+                          stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "the script never reported its workers"
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert workers
+        finally:
+            proc.kill()
+    deadline = time.monotonic() + 10
+    while not all(_gone(pid) for pid in workers):
+        assert time.monotonic() < deadline, "orphaned workers linger"
+        time.sleep(0.05)
+
+
+def test_warm_worker_reuse_leaves_results_bit_identical():
+    query = CapacityQuery(workload="wordcount", slo_seconds=1.0,
+                          data_scale=0.05)
+    descs = candidate_descriptors(query, 2)
+    first, then = descs[-1], descs[0]
+    assert first["engine"] != then["engine"]
+
+    async def main():
+        warm = AsyncWorkerPool(jobs=1)
+        pid_a, _ = await warm.run(_in_worker, (evaluate_candidate, first))
+        pid_b, reused = await warm.run(_in_worker,
+                                       (evaluate_candidate, then))
+        await warm.close()
+        assert pid_a == pid_b, "both candidates ran in one warm worker"
+        fresh = AsyncWorkerPool(jobs=1)
+        pid_f, alone = await fresh.run(_in_worker,
+                                       (evaluate_candidate, then))
+        await fresh.close()
+        assert pid_f != pid_b
+        assert digest_payload(reused) == digest_payload(alone)
+    run(main())

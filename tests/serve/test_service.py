@@ -1,6 +1,8 @@
 """AdvisorService routes, shedding, deadlines, drain — in-process."""
 
 import asyncio
+import multiprocessing
+import time
 
 import pytest
 
@@ -44,6 +46,33 @@ def test_health_ready_stats_endpoints():
         assert status == 200
         assert payload["ledger"]["received"] == 3
         assert payload["breaker"]["state"] == "closed"
+    run_service_test(body)
+
+
+def test_reply_ends_while_a_forked_child_holds_the_socket():
+    # A worker forked while a connection is open inherits its socket;
+    # the reply must still end at once, not when that worker exits.
+    async def body(service):
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       service.port)
+        while service.ledger.received == 0:  # the handler owns it now
+            await asyncio.sleep(0.01)
+        child = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(3,), daemon=True)
+        child.start()
+        try:
+            writer.write(b"GET /healthz HTTP/1.1\r\n"
+                         b"Content-Length: 0\r\n\r\n")
+            await writer.drain()
+            start = time.monotonic()
+            raw = await asyncio.wait_for(reader.read(), 10)
+            elapsed = time.monotonic() - start
+        finally:
+            child.kill()
+            child.join()
+            writer.close()
+        assert raw.startswith(b"HTTP/1.1 200 ")
+        assert elapsed < 0.5, f"EOF took {elapsed:.3f}s"
     run_service_test(body)
 
 
