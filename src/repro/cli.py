@@ -8,7 +8,8 @@ Commands
     Run one workload on one engine at a given scale and print the
     correlated figure (plan + resource panels).
 ``figure``
-    Regenerate one of the paper's figures (fig01..fig17).
+    Regenerate one of the paper's figures (fig01..fig17) or one of the
+    extension figures (fig18..fig23).
 ``table7``
     Regenerate Table VII (the Large-graph grid).
 ``explain``
@@ -55,8 +56,22 @@ Commands
     invariant checking; with ``--replay``, also compare their trace
     digests against the goldens in ``tests/golden/``.
 
-``run``, ``figure`` and ``table7`` accept ``--strict``: the run attaches
-an invariant checker and fails loudly on any violation.
+``run``, ``figure``, ``table7`` and the campaigns accept ``--strict``:
+the run attaches an invariant checker and fails loudly on any
+violation.
+
+Campaigns
+---------
+``resilience``, ``streaming``, ``tenancy`` and ``figure`` (the scaling
+figures and fig19-fig23) are checkpointable.  Each runs through
+:func:`repro.harness.campaign.run_campaign`; this module opens and
+closes the ``--checkpoint`` store and reports gaps in one place
+(:func:`_campaign`).  The store's fingerprint is every parsed argument
+except the ones that only choose how a campaign runs (``--jobs``,
+``--timeout``, ``--retries``, ``--task-backoff``, ``--checkpoint``,
+``--resume``, ``--strict``), so a resume with different arguments
+exits 2 with ``error: ...`` instead of mixing campaigns.  Flags shared
+between subcommands are declared once, as parent parsers.
 
 Examples
 --------
@@ -83,7 +98,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .cluster import Cluster
 from .config.presets import (ExperimentConfig, kmeans_preset,
@@ -91,6 +106,7 @@ from .config.presets import (ExperimentConfig, kmeans_preset,
                              wordcount_grep_preset)
 from .core import render_bar_table, render_run
 from .harness import figures as figure_registry
+from .harness.checkpoint import CheckpointError, CheckpointStore
 from .harness.runner import run_correlated
 from .hdfs import HDFS
 from .workloads import (ConnectedComponents, Grep, KMeans, PageRank,
@@ -118,6 +134,15 @@ FIGURES = {
     "fig13": figure_registry.fig13_pagerank_medium,
     "fig14": figure_registry.fig14_cc_small,
     "fig15": figure_registry.fig15_cc_medium,
+}
+
+#: fig19-fig23: fault-tolerant, checkpointable campaigns with gaps.
+CAMPAIGN_FIGURES = {
+    "fig19": figure_registry.fig19_resilience,
+    "fig20": figure_registry.fig20_streaming_latency,
+    "fig21": figure_registry.fig21_streaming_recovery,
+    "fig22": figure_registry.fig22_degradation,
+    "fig23": figure_registry.fig23_tenancy,
 }
 
 RESOURCE_FIGURES = {
@@ -169,6 +194,59 @@ def build_workload(name: str, nodes: int, graph: str = "small",
 
 
 # ----------------------------------------------------------------------
+# campaigns: one fingerprint, one store, one gap report
+# ----------------------------------------------------------------------
+#: Parsed arguments that choose how a campaign runs, never what it
+#: computes.  The checkpoint fingerprint leaves them out, so a campaign
+#: resumes under another --jobs, --strict or retry policy.
+_RUN_ONLY = frozenset({"jobs", "timeout", "retries", "task_backoff",
+                       "checkpoint", "resume", "strict"})
+
+
+def _fingerprint(args) -> Dict[str, object]:
+    """The identity a ``--checkpoint`` store pins: every parsed argument,
+    ``command`` included, except the :data:`_RUN_ONLY` ones."""
+    return {k: v for k, v in vars(args).items() if k not in _RUN_ONLY}
+
+
+def _campaign(args, build: Callable[[Optional[CheckpointStore]], object]
+              ) -> int:
+    """Run one checkpointable campaign and report it.
+
+    The one place the CLI opens and closes a ``--checkpoint`` store and
+    reports gaps: ``build(store)`` computes the figure through the
+    store (``None`` without ``--checkpoint``).  Exit 1 when cells are
+    missing under ``--strict``, and 2 when the store cannot be opened:
+    a leftover store without ``--resume``, or a resume whose arguments
+    differ from the recorded campaign's.
+    """
+    store = None
+    if args.checkpoint is not None:
+        try:
+            store = CheckpointStore(args.checkpoint, _fingerprint(args),
+                                    resume=args.resume)
+        except CheckpointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    try:
+        fig = build(store)
+    finally:
+        if store is not None:
+            store.close()
+    if isinstance(fig, figure_registry.ScalingFigure):
+        print(render_bar_table(fig.series.values(), title=fig.title))
+        return 0
+    print(fig.describe())
+    if fig.gaps:
+        print(f"{len(fig.gaps)} cell(s) missing (worker crash/timeout); "
+              f"rerun with --checkpoint/--resume to fill them in",
+              file=sys.stderr)
+        if args.strict:
+            return 1
+    return 0
+
+
+# ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 def cmd_list(_args) -> int:
@@ -181,20 +259,6 @@ def cmd_list(_args) -> int:
     print("tenancy figures: fig23")
     print("tables: table7")
     return 0
-
-
-def _open_checkpoint(args, fingerprint):
-    """Build the CheckpointStore for ``--checkpoint DIR [--resume]``
-    (None when the flag is absent)."""
-    if getattr(args, "checkpoint", None) is None:
-        if getattr(args, "resume", False):
-            print("error: --resume requires --checkpoint DIR",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        return None
-    from .harness.checkpoint import CheckpointStore
-    return CheckpointStore(args.checkpoint, fingerprint,
-                           resume=args.resume)
 
 
 def cmd_run(args) -> int:
@@ -213,100 +277,28 @@ def cmd_figure(args) -> int:
     fig_id = args.id
     strict = args.strict or None
     if fig_id in FIGURES:
-        checkpoint = _open_checkpoint(
-            args, {"figure_id": fig_id, "trials": args.trials,
-                   "seed": args.seed})
-        fig = FIGURES[fig_id](trials=args.trials, seed=args.seed,
-                              strict=strict, jobs=args.jobs,
-                              checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(render_bar_table(fig.series.values(), title=fig.title))
-        return 0
+        return _campaign(args, lambda store: FIGURES[fig_id](
+            trials=args.trials, seed=args.seed, strict=strict,
+            jobs=args.jobs, checkpoint=store))
+    if fig_id in CAMPAIGN_FIGURES:
+        trials = ({"trials": args.trials} if fig_id in ("fig19", "fig23")
+                  else {})
+        return _campaign(args, lambda store: CAMPAIGN_FIGURES[fig_id](
+            seed=args.seed, strict=strict, jobs=args.jobs,
+            checkpoint=store, **trials))
+    if args.checkpoint is not None and (fig_id in RESOURCE_FIGURES
+                                        or fig_id == "fig18"):
+        print(f"error: {fig_id} is not checkpointable (resource and fault "
+              f"figures journal whole runs); rerun without --checkpoint",
+              file=sys.stderr)
+        return 2
     if fig_id in RESOURCE_FIGURES:
-        if getattr(args, "checkpoint", None):
-            print("error: resource figures journal whole correlated "
-                  "runs and are not checkpointable; rerun without "
-                  "--checkpoint", file=sys.stderr)
-            return 2
         fig = RESOURCE_FIGURES[fig_id](seed=args.seed, strict=strict,
                                        jobs=args.jobs)
         for run in fig.runs.values():
             print(render_run(run))
             print()
         return 0
-    if fig_id == "fig19":
-        from .resilience import campaign_fingerprint
-        from .resilience.sweep import ENGINES as RES_ENGINES
-        checkpoint = _open_checkpoint(args, campaign_fingerprint(
-            "fig19", RES_ENGINES, WORKLOADS, (0.0, 0.5, 1.0, 2.0),
-            args.trials, 8, args.seed))
-        fig = figure_registry.fig19_resilience(
-            seed=args.seed, trials=args.trials, strict=strict,
-            jobs=args.jobs, checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
-    if fig_id == "fig22":
-        from .streaming.sweep import (DEFAULT_FAULT_RATES,
-                                      DEFAULT_LOAD_MULTIPLES,
-                                      STREAMING_ENGINES,
-                                      degradation_campaign_fingerprint)
-        checkpoint = _open_checkpoint(args, degradation_campaign_fingerprint(
-            "fig22", STREAMING_ENGINES, DEFAULT_LOAD_MULTIPLES,
-            DEFAULT_FAULT_RATES, ("none", "degrade"), 8, args.seed,
-            40.0, 1.0))
-        fig = figure_registry.fig22_degradation(
-            seed=args.seed, strict=strict, jobs=args.jobs,
-            checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
-    if fig_id == "fig23":
-        from .scheduler.sweep import (DEFAULT_JOBS_TARGET, DEFAULT_LOADS,
-                                      DEFAULT_POLICIES, default_templates,
-                                      tenancy_campaign_fingerprint)
-        checkpoint = _open_checkpoint(args, tenancy_campaign_fingerprint(
-            "fig23", DEFAULT_POLICIES, DEFAULT_LOADS, args.trials, 8,
-            args.seed, 0.0, DEFAULT_JOBS_TARGET,
-            [t.name for t in default_templates(8)]))
-        fig = figure_registry.fig23_tenancy(
-            seed=args.seed, trials=args.trials, strict=strict,
-            jobs=args.jobs, checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
-    if fig_id in ("fig20", "fig21"):
-        from .streaming.sweep import (ARRIVAL_KINDS,
-                                      DEFAULT_CHECKPOINT_INTERVALS,
-                                      DEFAULT_DURATION,
-                                      DEFAULT_LOAD_FRACTIONS,
-                                      FIG21_CRASH_AT, FIG21_LOAD_FRACTION,
-                                      STREAMING_ENGINES,
-                                      streaming_campaign_fingerprint)
-        if fig_id == "fig20":
-            fingerprint = streaming_campaign_fingerprint(
-                "fig20", STREAMING_ENGINES, ARRIVAL_KINDS,
-                DEFAULT_LOAD_FRACTIONS, None, 8, args.seed,
-                DEFAULT_DURATION, 1.0, None)
-        else:
-            fingerprint = streaming_campaign_fingerprint(
-                "fig21", STREAMING_ENGINES, ("poisson",),
-                (FIG21_LOAD_FRACTION,), DEFAULT_CHECKPOINT_INTERVALS, 8,
-                args.seed, DEFAULT_DURATION, 1.0, FIG21_CRASH_AT)
-        checkpoint = _open_checkpoint(args, fingerprint)
-        maker = (figure_registry.fig20_streaming_latency
-                 if fig_id == "fig20"
-                 else figure_registry.fig21_streaming_recovery)
-        fig = maker(seed=args.seed, strict=strict, jobs=args.jobs,
-                    checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        return 1 if (fig.gaps and args.strict) else 0
     if fig_id == "fig18":
         fig = figure_registry.fig18_fault_recovery(seed=args.seed,
                                                    strict=strict,
@@ -325,115 +317,62 @@ def cmd_figure(args) -> int:
                   f"({c.retries} retries, {c.restarts} restarts)")
         return 0
     known = (sorted(FIGURES) + sorted(RESOURCE_FIGURES)
-             + ["fig18", "fig19", "fig20", "fig21", "fig22", "fig23"])
+             + ["fig18"] + sorted(CAMPAIGN_FIGURES))
     print(f"unknown figure {fig_id!r}; try one of {known}",
           file=sys.stderr)
     return 2
 
 
 def cmd_resilience(args) -> int:
-    from .resilience import campaign_fingerprint
     from .resilience.sweep import default_workloads, resilience_sweep
     workloads = default_workloads(args.nodes)
     if args.workloads:
         wanted = set(args.workloads)
         workloads = [w for w in workloads if w[0] in wanted]
-    names = [name for name, _w, _c in workloads]
-    checkpoint = _open_checkpoint(args, campaign_fingerprint(
-        "fig19", args.engines, names, args.rates, args.trials,
-        args.nodes, args.seed, args.stragglers))
-    fig = resilience_sweep(
+    return _campaign(args, lambda store: resilience_sweep(
         workloads=workloads, engines=args.engines, rates=args.rates,
         trials=args.trials, nodes=args.nodes, seed=args.seed,
         stragglers=args.stragglers, strict=args.strict or None,
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        backoff=args.task_backoff, checkpoint=checkpoint)
-    if checkpoint is not None:
-        checkpoint.close()
-    print(fig.describe())
-    if fig.gaps:
-        print(f"{len(fig.gaps)} cell(s) missing (worker crash/"
-              f"timeout); rerun with --checkpoint/--resume to fill "
-              f"them in", file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+        backoff=args.task_backoff, checkpoint=store))
 
 
 def cmd_streaming(args) -> int:
-    from .streaming.sweep import (degradation_campaign_fingerprint,
-                                  degradation_sweep,
-                                  streaming_campaign_fingerprint,
-                                  streaming_sweep)
+    from .streaming.sweep import degradation_sweep, streaming_sweep
     if args.degrade and args.recovery:
         print("--degrade and --recovery are mutually exclusive",
               file=sys.stderr)
         return 2
     if args.degrade:
-        multiples = tuple(args.load_multiples)
-        rates = tuple(args.fault_rates)
-        policies = tuple(args.policies)
-        checkpoint = _open_checkpoint(args, degradation_campaign_fingerprint(
-            "fig22", args.engines, multiples, rates, policies, args.nodes,
-            args.seed, args.duration, args.batch_interval))
-        fig = degradation_sweep(
+        return _campaign(args, lambda store: degradation_sweep(
             figure_id="fig22", engines=args.engines,
-            load_multiples=multiples, fault_rates=rates,
-            policies=policies, nodes=args.nodes, seed=args.seed,
-            duration=args.duration, batch_interval=args.batch_interval,
+            load_multiples=tuple(args.load_multiples),
+            fault_rates=tuple(args.fault_rates),
+            policies=tuple(args.policies), nodes=args.nodes,
+            seed=args.seed, duration=args.duration,
+            batch_interval=args.batch_interval,
             strict=args.strict or None, jobs=args.jobs,
             timeout=args.timeout, retries=args.retries,
-            backoff=args.task_backoff, checkpoint=checkpoint)
-        if checkpoint is not None:
-            checkpoint.close()
-        print(fig.describe())
-        if fig.gaps:
-            print(f"{len(fig.gaps)} cell(s) missing (worker crash/"
-                  f"timeout); rerun with --checkpoint/--resume to fill "
-                  f"them in", file=sys.stderr)
-            if args.strict:
-                return 1
-        return 0
+            backoff=args.task_backoff, checkpoint=store))
     if args.recovery:
-        figure_id = "fig21"
-        kinds = ("poisson",)
-        fractions = (args.load,)
-        intervals = tuple(args.checkpoint_intervals)
-        crash_at = args.crash_at
+        shape = dict(figure_id="fig21", arrival_kinds=("poisson",),
+                     load_fractions=(args.load,),
+                     checkpoint_intervals=tuple(args.checkpoint_intervals),
+                     crash_at=args.crash_at)
     else:
-        figure_id = "fig20"
-        kinds = tuple(args.arrivals)
-        fractions = tuple(args.loads)
-        intervals = None
-        crash_at = None
-    checkpoint = _open_checkpoint(args, streaming_campaign_fingerprint(
-        figure_id, args.engines, kinds, fractions, intervals, args.nodes,
-        args.seed, args.duration, args.batch_interval, crash_at))
-    fig = streaming_sweep(
-        figure_id=figure_id, engines=args.engines, arrival_kinds=kinds,
-        load_fractions=fractions, checkpoint_intervals=intervals,
-        nodes=args.nodes, seed=args.seed, duration=args.duration,
-        batch_interval=args.batch_interval, crash_at=crash_at,
+        shape = dict(figure_id="fig20", arrival_kinds=tuple(args.arrivals),
+                     load_fractions=tuple(args.loads))
+    return _campaign(args, lambda store: streaming_sweep(
+        engines=args.engines, nodes=args.nodes, seed=args.seed,
+        duration=args.duration, batch_interval=args.batch_interval,
         strict=args.strict or None, jobs=args.jobs, timeout=args.timeout,
         retries=args.retries, backoff=args.task_backoff,
-        checkpoint=checkpoint)
-    if checkpoint is not None:
-        checkpoint.close()
-    print(fig.describe())
-    if fig.gaps:
-        print(f"{len(fig.gaps)} cell(s) missing (worker crash/timeout); "
-              f"rerun with --checkpoint/--resume to fill them in",
-              file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+        checkpoint=store, **shape))
 
 
 def cmd_tenancy(args) -> int:
     from .scheduler.sweep import (default_queues, default_templates,
-                                  tenancy_campaign_fingerprint,
                                   tenancy_sweep)
-    policies = tuple(args.policies)
     loads = tuple(args.loads)
     nodes = args.nodes
     jobs_target = args.jobs_per_cell
@@ -441,27 +380,13 @@ def cmd_tenancy(args) -> int:
         nodes = min(nodes, 4)
         loads = (0.5, 0.9)
         jobs_target = min(jobs_target, 6)
-    templates = default_templates(nodes)
-    checkpoint = _open_checkpoint(args, tenancy_campaign_fingerprint(
-        "fig23", policies, loads, args.trials, nodes, args.seed,
-        args.crash_rate, jobs_target, [t.name for t in templates]))
-    fig = tenancy_sweep(
-        policies=policies, loads=loads, trials=args.trials, nodes=nodes,
-        seed=args.seed, jobs_target=jobs_target,
-        crash_rate=args.crash_rate, templates=templates,
+    return _campaign(args, lambda store: tenancy_sweep(
+        policies=tuple(args.policies), loads=loads, trials=args.trials,
+        nodes=nodes, seed=args.seed, jobs_target=jobs_target,
+        crash_rate=args.crash_rate, templates=default_templates(nodes),
         queues=default_queues(nodes), strict=args.strict or None,
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        backoff=args.task_backoff, checkpoint=checkpoint)
-    if checkpoint is not None:
-        checkpoint.close()
-    print(fig.describe())
-    if fig.gaps:
-        print(f"{len(fig.gaps)} cell(s) missing (worker crash/timeout); "
-              f"rerun with --checkpoint/--resume to fill them in",
-              file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+        backoff=args.task_backoff, checkpoint=store))
 
 
 def cmd_serve(args) -> int:
@@ -469,7 +394,6 @@ def cmd_serve(args) -> int:
     from .serve import AdvisorService
     store = None
     if args.cache:
-        from .harness.checkpoint import CheckpointStore
         store = CheckpointStore(
             args.cache, {"campaign": "serve-cache", "version": 1},
             resume=True, on_corrupt="quarantine")
@@ -738,15 +662,56 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _retry_flags(backoff: float) -> argparse.ArgumentParser:
+    """Parent parser for how failed cells are retried; ``serve`` retries
+    sooner than the batch commands, so the base backoff is a parameter."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--timeout", "--task-timeout", type=float,
+                       default=None, dest="timeout",
+                       help="per-cell wall-clock timeout in seconds "
+                            "(parallel runs only; serve: 30); a timed-out "
+                            "cell becomes a gap, not an abort")
+    flags.add_argument("--retries", "--task-retries", type=int, default=1,
+                       dest="retries", help="retry budget per failed cell")
+    flags.add_argument("--task-backoff", type=float, default=backoff,
+                       dest="task_backoff",
+                       help="base delay before retrying a failed cell; "
+                            "doubles per attempt")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Spark versus Flink' (CLUSTER 2016)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by several subcommands, declared once as parents.
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true",
+                        help="audit simulator invariants during the runs; "
+                             "campaigns also exit 1 on missing cells")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=None,
+                      help="worker processes (default: $REPRO_JOBS or "
+                           "serial; serve: 2); results are identical at "
+                           "any count")
+    resumable = argparse.ArgumentParser(add_help=False)
+    resumable.add_argument("--checkpoint", default=None, metavar="DIR",
+                           help="journal every finished cell to DIR (for "
+                                "figure: the scaling figures and "
+                                "fig19-fig23)")
+    resumable.add_argument("--resume", action="store_true",
+                           help="resume a killed campaign from "
+                                "--checkpoint DIR (digest-identical to an "
+                                "uninterrupted run)")
+    retried = _retry_flags(backoff=0.5)
+    campaign = [strict, jobs, retried, resumable]
+
     sub.add_parser("list", help="available workloads and figures")
 
-    p_run = sub.add_parser("run", help="run one workload once")
+    p_run = sub.add_parser("run", parents=[strict],
+                           help="run one workload once")
     p_run.add_argument("--engine", choices=("spark", "flink"),
                        required=True)
     p_run.add_argument("--workload", choices=WORKLOADS, required=True)
@@ -755,37 +720,22 @@ def build_parser() -> argparse.ArgumentParser:
                        default="small")
     p_run.add_argument("--iterations", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--strict", action="store_true",
-                       help="audit simulator invariants during the run")
 
-    p_fig = sub.add_parser("figure", help="regenerate a paper figure")
+    p_fig = sub.add_parser("figure", parents=[strict, jobs, resumable],
+                           help="regenerate a paper figure")
     p_fig.add_argument("id", help="fig01..fig23")
     p_fig.add_argument("--trials", type=int, default=3)
     p_fig.add_argument("--seed", type=int, default=0)
-    p_fig.add_argument("--strict", action="store_true",
-                       help="audit simulator invariants during the runs")
-    p_fig.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for independent runs "
-                            "(default: $REPRO_JOBS or serial); results "
-                            "are identical at any job count")
-    p_fig.add_argument("--checkpoint", default=None, metavar="DIR",
-                       help="journal finished runs to DIR (scaling "
-                            "figures and fig19); a killed regeneration "
-                            "resumes bit-identically with --resume")
-    p_fig.add_argument("--resume", action="store_true",
-                       help="resume from an existing --checkpoint DIR")
 
-    p_t7 = sub.add_parser("table7", help="regenerate Table VII")
+    p_t7 = sub.add_parser("table7", parents=[strict, jobs],
+                          help="regenerate Table VII")
     p_t7.add_argument("--nodes", type=int, nargs="+",
                       default=[27, 44, 97])
     p_t7.add_argument("--seed", type=int, default=0)
-    p_t7.add_argument("--strict", action="store_true",
-                      help="audit simulator invariants during the runs")
-    p_t7.add_argument("--jobs", type=int, default=None,
-                      help="worker processes for independent runs")
 
     p_flt = sub.add_parser(
-        "faults", help="inject a node crash and measure recovery")
+        "faults", parents=[strict],
+        help="inject a node crash and measure recovery")
     p_flt.add_argument("--workload", choices=WORKLOADS, required=True)
     p_flt.add_argument("--engines", nargs="+",
                        choices=("spark", "flink"),
@@ -812,8 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flt.add_argument("--timeline", action="store_true",
                        help="print the full fault/recovery timeline")
     p_flt.add_argument("--seed", type=int, default=0)
-    p_flt.add_argument("--strict", action="store_true",
-                       help="audit simulator + fault invariants")
 
     p_ex = sub.add_parser("explain", help="print both physical plans")
     p_ex.add_argument("--workload", choices=WORKLOADS, required=True)
@@ -822,8 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default="small")
 
     p_tr = sub.add_parser(
-        "trace", help="span-trace a run: critical path, per-stage "
-                      "dominant resources, Chrome-trace/CSV export")
+        "trace", parents=[strict, jobs],
+        help="span-trace a run: critical path, per-stage dominant "
+             "resources, Chrome-trace/CSV export")
     p_tr.add_argument("--workload", choices=WORKLOADS, required=True)
     p_tr.add_argument("--engines", nargs="+", choices=("spark", "flink"),
                       default=["flink", "spark"])
@@ -834,14 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--out", default=None,
                       help="directory for chrome-trace JSON + CSV export")
-    p_tr.add_argument("--jobs", type=int, default=None,
-                      help="worker processes (one per engine); output is "
-                           "identical at any job count")
-    p_tr.add_argument("--strict", action="store_true",
-                      help="audit simulator invariants during the runs")
 
     p_res = sub.add_parser(
-        "resilience",
+        "resilience", parents=campaign,
         help="stochastic fault campaign: slowdown/availability vs "
              "per-node fault rate (fig19), crash-safe and resumable")
     p_res.add_argument("--workloads", nargs="+", choices=WORKLOADS,
@@ -858,32 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--stragglers", type=int, default=0,
                        help="persistently slow nodes for the whole run")
     p_res.add_argument("--seed", type=int, default=0)
-    p_res.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: $REPRO_JOBS or "
-                            "serial); curves are identical at any count")
-    p_res.add_argument("--timeout", "--task-timeout", type=float,
-                       default=None, dest="timeout",
-                       help="per-cell wall-clock timeout in seconds "
-                            "(parallel runs only); a timed-out cell "
-                            "becomes a gap, not a campaign abort")
-    p_res.add_argument("--retries", "--task-retries", type=int,
-                       default=1, dest="retries",
-                       help="retry budget per failed cell")
-    p_res.add_argument("--task-backoff", type=float, default=0.5,
-                       dest="task_backoff",
-                       help="base delay before retrying a failed cell; "
-                            "doubles per attempt")
-    p_res.add_argument("--checkpoint", default=None, metavar="DIR",
-                       help="journal every finished cell to DIR")
-    p_res.add_argument("--resume", action="store_true",
-                       help="resume a killed campaign from "
-                            "--checkpoint DIR (digest-identical to an "
-                            "uninterrupted run)")
-    p_res.add_argument("--strict", action="store_true",
-                       help="audit invariants; exit non-zero on gaps")
 
     p_str = sub.add_parser(
-        "streaming",
+        "streaming", parents=campaign,
         help="executed streaming engines: latency vs load (fig20), "
              "--recovery: recovery vs checkpoint interval (fig21), "
              "--degrade: overload survival (fig22)")
@@ -929,30 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_str.add_argument("--batch-interval", type=float, default=1.0,
                        help="micro-batch interval of the D-Stream engine")
     p_str.add_argument("--seed", type=int, default=0)
-    p_str.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: $REPRO_JOBS or "
-                            "serial); curves are identical at any count")
-    p_str.add_argument("--timeout", "--task-timeout", type=float,
-                       default=None, dest="timeout",
-                       help="per-cell wall-clock timeout in seconds")
-    p_str.add_argument("--retries", "--task-retries", type=int,
-                       default=1, dest="retries",
-                       help="retry budget per failed cell")
-    p_str.add_argument("--task-backoff", type=float, default=0.5,
-                       dest="task_backoff",
-                       help="base delay before retrying a failed cell; "
-                            "doubles per attempt")
-    p_str.add_argument("--checkpoint", default=None, metavar="DIR",
-                       help="journal every finished cell to DIR")
-    p_str.add_argument("--resume", action="store_true",
-                       help="resume a killed campaign from "
-                            "--checkpoint DIR (digest-identical to an "
-                            "uninterrupted run)")
-    p_str.add_argument("--strict", action="store_true",
-                       help="audit invariants; exit non-zero on gaps")
 
     p_ten = sub.add_parser(
-        "tenancy",
+        "tenancy", parents=campaign,
         help="multi-tenant scheduling campaign: job slowdown / queue "
              "wait / fairness vs offered load per queue policy (fig23), "
              "crash-safe and resumable")
@@ -976,39 +876,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shrunken campaign (4 nodes, two loads, ~6 "
                             "jobs/cell) for CI smoke")
     p_ten.add_argument("--seed", type=int, default=0)
-    p_ten.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: $REPRO_JOBS or "
-                            "serial); figures are identical at any count")
-    p_ten.add_argument("--timeout", "--task-timeout", type=float,
-                       default=None, dest="timeout",
-                       help="per-cell wall-clock timeout in seconds")
-    p_ten.add_argument("--retries", "--task-retries", type=int,
-                       default=1, dest="retries",
-                       help="retry budget per failed cell")
-    p_ten.add_argument("--task-backoff", type=float, default=0.5,
-                       dest="task_backoff",
-                       help="base delay before retrying a failed cell; "
-                            "doubles per attempt")
-    p_ten.add_argument("--checkpoint", default=None, metavar="DIR",
-                       help="journal every finished cell to DIR")
-    p_ten.add_argument("--resume", action="store_true",
-                       help="resume a killed campaign from "
-                            "--checkpoint DIR (digest-identical to an "
-                            "uninterrupted run)")
-    p_ten.add_argument("--strict", action="store_true",
-                       help="audit scheduling invariants; exit non-zero "
-                            "on gaps")
 
     p_srv = sub.add_parser(
-        "serve",
+        "serve", parents=[jobs, _retry_flags(backoff=0.05)],
         help="long-running capacity-advisor service (asyncio + "
              "process-isolated workers, circuit breaker, verified "
              "cache, graceful SIGTERM drain); see docs/serving.md")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=7472,
                        help="TCP port (0 picks a free one and prints it)")
-    p_srv.add_argument("--jobs", type=int, default=None,
-                       help="simulation worker processes (default 2)")
     p_srv.add_argument("--queue-limit", type=int, default=8,
                        dest="queue_limit",
                        help="max concurrent plan requests before "
@@ -1021,17 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="client_timeout",
                        help="seconds a client may take to deliver its "
                             "request before a 408")
-    p_srv.add_argument("--timeout", "--task-timeout", type=float,
-                       default=None, dest="timeout",
-                       help="per-simulation wall-clock timeout "
-                            "(default 30s)")
-    p_srv.add_argument("--retries", "--task-retries", type=int,
-                       default=1, dest="retries",
-                       help="retry budget per crashed/timed-out "
-                            "simulation")
-    p_srv.add_argument("--task-backoff", type=float, default=0.05,
-                       dest="task_backoff",
-                       help="base retry delay; doubles per attempt")
     p_srv.add_argument("--breaker-threshold", type=int, default=5,
                        dest="breaker_threshold",
                        help="consecutive worker failures that trip the "
@@ -1049,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "verified journal; survives restarts)")
 
     p_pln = sub.add_parser(
-        "plan",
+        "plan", parents=[jobs, retried],
         help="one-shot capacity plan: smallest cluster x engine x "
              "config meeting an SLO (the serve endpoint, offline)")
     p_pln.add_argument("--workload", choices=WORKLOADS, required=True)
@@ -1066,17 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shrink byte-sized datasets to this "
                             "fraction (what-if planning)")
     p_pln.add_argument("--seed", type=int, default=0)
-    p_pln.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: $REPRO_JOBS or "
-                            "serial)")
-    p_pln.add_argument("--timeout", "--task-timeout", type=float,
-                       default=None, dest="timeout",
-                       help="per-candidate wall-clock timeout")
-    p_pln.add_argument("--retries", "--task-retries", type=int,
-                       default=1, dest="retries")
-    p_pln.add_argument("--task-backoff", type=float, default=0.5,
-                       dest="task_backoff",
-                       help="base retry delay; doubles per attempt")
     p_pln.add_argument("--json", action="store_true",
                        help="print the full plan payload as JSON")
 
@@ -1093,11 +947,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser(
-        "bench", help="time the pinned perf suite, write BENCH_<date>.json")
+        "bench", parents=[jobs],
+        help="time the pinned perf suite, write BENCH_<date>.json")
     p_bench.add_argument("--quick", action="store_true",
                          help="shrunken cases (CI smoke)")
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for independent runs")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--label", default="",
                          help="label recorded in the report")
@@ -1112,7 +965,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and args.checkpoint is None:
+        parser.error("--resume requires --checkpoint DIR")
     handlers = {"list": cmd_list, "run": cmd_run, "figure": cmd_figure,
                 "table7": cmd_table7, "explain": cmd_explain,
                 "faults": cmd_faults, "trace": cmd_trace,

@@ -13,7 +13,7 @@ All experiments honour ``trials`` (the paper averaged 5 runs) and a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config.presets import (ExperimentConfig, kmeans_preset,
@@ -28,7 +28,8 @@ from ..workloads.base import Workload
 from ..validation.invariants import strict_enabled
 from ..workloads.datagen.graphs import (LARGE_GRAPH, MEDIUM_GRAPH,
                                         SMALL_GRAPH, GraphDatasetModel)
-from .parallel import parallel_map
+from .campaign import run_campaign
+from .parallel import TaskFailure, parallel_map
 from .runner import TrialStats, run_correlated, run_trials
 
 __all__ = [
@@ -116,21 +117,10 @@ class ResourceFigure:
         return out
 
 
-def _stats_payload(stats: TrialStats) -> Dict[str, object]:
-    """The journal form of one scaling data point (checkpoint record)."""
-    return {"engine": stats.engine, "workload": stats.workload,
-            "nodes": stats.nodes, "durations": list(stats.durations),
-            "failures": list(stats.failures)}
-
-
-def _stats_from_payload(payload: Dict[str, object]) -> TrialStats:
-    # Full EngineRunResults are deliberately not journaled (they are
-    # simulation-internal object graphs); everything a figure digest
-    # observes — durations, failures, mean/std — round-trips exactly.
-    return TrialStats(engine=payload["engine"], workload=payload["workload"],
-                      nodes=payload["nodes"],
-                      durations=list(payload["durations"]),
-                      failures=list(payload["failures"]))
+def _trials_task(engine: str, workload: Workload, config: ExperimentConfig,
+                 trials: int, seed: int, strict: bool) -> Dict[str, object]:
+    """One scaling data point as its journal payload (a campaign cell)."""
+    return asdict(run_trials(engine, workload, config, trials, seed, strict))
 
 
 def _scaling(figure_id: str, title: str, xs: Sequence[float],
@@ -143,13 +133,20 @@ def _scaling(figure_id: str, title: str, xs: Sequence[float],
     # Every (engine, x) data point is an independent deterministic batch
     # of trials; materialise the workload/config here (the lambdas do
     # not cross process boundaries) and fan out.  Results come back in
-    # task order, so the figure is identical at any job count.
+    # cell order, so the figure is identical at any job count, and a
+    # journaled point resumes as the very TrialStats it was computed as.
     strict_flag = strict_enabled(strict)
-    tasks = [(engine, make_workload(x), make_config(x), trials, seed,
-              strict_flag)
+    cells = [({"figure_id": figure_id, "engine": engine, "x": float(x),
+               "trials": trials, "seed": seed},
+              (engine, make_workload(x), make_config(x), trials, seed,
+               strict_flag))
              for engine in ENGINES for x in xs]
-    flat: List[TrialStats] = _checkpointed_trials(
-        figure_id, tasks, xs, trials, seed, jobs, checkpoint)
+    payloads = run_campaign(_trials_task, cells, checkpoint, jobs=jobs)
+    for (key, _args), payload in zip(cells, payloads):
+        if isinstance(payload, TaskFailure):
+            raise RuntimeError(f"{figure_id} cell {key} failed: "
+                               f"{payload.describe()}")
+    flat = [TrialStats(**payload) for payload in payloads]
     series: Dict[str, ScalingSeries] = {}
     raw: Dict[str, List[TrialStats]] = {}
     for i, engine in enumerate(ENGINES):
@@ -162,42 +159,6 @@ def _scaling(figure_id: str, title: str, xs: Sequence[float],
             stds=[s.std for s in stats])
     return ScalingFigure(figure_id=figure_id, title=title, series=series,
                          xs=list(xs), trials_raw=raw)
-
-
-def _checkpointed_trials(figure_id: str, tasks, xs, trials: int, seed: int,
-                         jobs: Optional[int], checkpoint
-                         ) -> List[TrialStats]:
-    """Fan the trial batches out, journaling each finished data point.
-
-    Without a checkpoint store this is exactly
-    ``parallel_map(run_trials, tasks)``.  With one, already-journaled
-    points are replayed and only the missing ones run — resume after a
-    kill reproduces the uninterrupted figure digests bit-identically.
-    """
-    from ..validation.digest import digest_payload
-    if checkpoint is None:
-        return parallel_map(run_trials, tasks, jobs=jobs)
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": engine, "x": float(x),
-        "trials": trials, "seed": seed})
-        for (engine, _w, _c, _t, _s, _f), x in
-        zip(tasks, [x for _ in ENGINES for x in xs])]
-    results: List[Optional[TrialStats]] = [None] * len(tasks)
-    pending = []
-    for i, key in enumerate(keys):
-        if key in checkpoint:
-            results[i] = _stats_from_payload(checkpoint.load(key))
-        else:
-            pending.append(i)
-    if pending:
-        def _journal(pos: int, stats: TrialStats) -> None:
-            checkpoint.save(keys[pending[pos]], _stats_payload(stats))
-
-        fresh = parallel_map(run_trials, [tasks[i] for i in pending],
-                             jobs=jobs, on_result=_journal)
-        for pos, stats in zip(pending, fresh):
-            results[pos] = stats
-    return results  # type: ignore[return-value]
 
 
 def _resources(figure_id: str, title: str, workload: Workload,

@@ -27,6 +27,8 @@ Two entry points share this contract:
   *that task only* (recorded as a :class:`TaskFailure` with full task
   identity, optionally retried with exponential backoff); every other
   task still completes and the results keep their task-order slots.
+  Campaigns reach it through :func:`~repro.harness.campaign.
+  run_campaign`, which adds checkpoint journaling and resume.
 
 :func:`robust_map` and the service's
 :class:`~repro.serve.pool.AsyncWorkerPool` share one kind of worker: a
@@ -185,9 +187,7 @@ def _call_identified(fn: Callable, index: int, args: Tuple) -> Any:
 
 
 def parallel_map(fn: Callable, tasks: Sequence[Tuple],
-                 jobs: Optional[int] = None,
-                 on_result: Optional[Callable[[int, Any], None]] = None
-                 ) -> List:
+                 jobs: Optional[int] = None) -> List:
     """Apply ``fn`` to argument tuples, returning results in task order.
 
     With ``jobs <= 1`` (or fewer than two tasks) this is literally
@@ -201,10 +201,6 @@ def parallel_map(fn: Callable, tasks: Sequence[Tuple],
     type and the failing task's index/arguments appended to the message
     (matching serial behaviour); a worker that dies outright raises
     :class:`WorkerCrashError` carrying the same identity.
-
-    ``on_result(index, result)`` is invoked in the parent process, in
-    task order, as each result becomes available — the checkpoint hook:
-    a kill mid-campaign keeps everything already reported.
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -212,13 +208,7 @@ def parallel_map(fn: Callable, tasks: Sequence[Tuple],
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
-        results = []
-        for i, t in enumerate(tasks):
-            result = _call_identified(fn, i, t)
-            if on_result is not None:
-                on_result(i, result)
-            results.append(result)
-        return results
+        return [_call_identified(fn, i, t) for i, t in enumerate(tasks)]
     workers = min(jobs, len(tasks))
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=_ignore_sigint) as pool:
@@ -251,8 +241,6 @@ def parallel_map(fn: Callable, tasks: Sequence[Tuple],
                     f"({len(candidates)} task(s) in doubt)",
                     task_index=first, task_args=_args_repr(tasks[first]),
                     candidate_indices=candidates) from err
-            if on_result is not None:
-                on_result(i, result)
             results.append(result)
         return results
 
@@ -367,6 +355,9 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
     task arguments and the results cross a pipe, so all must pickle.
     Failed tasks are retried up to ``retries`` times with exponential
     backoff (``backoff * 2**(attempt-1)`` seconds before relaunch).
+    ``on_result(index, result)`` runs in the calling process as each
+    task succeeds: the journal hook of :func:`~repro.harness.campaign.
+    run_campaign`.
 
     Serially (``jobs <= 1``) exceptions are caught per task but
     ``timeout`` cannot be enforced (there is no worker to kill) and

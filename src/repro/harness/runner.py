@@ -57,7 +57,6 @@ class TrialStats:
     nodes: int
     durations: List[float] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
-    results: List[EngineRunResult] = field(default_factory=list)
 
     @property
     def trials(self) -> int:
@@ -285,7 +284,6 @@ def run_trials(engine_name: str, workload: Workload,
     for t in range(trials):
         result = run_once(engine_name, workload, config,
                           seed=base_seed + 1000 * t, strict=strict)
-        stats.results.append(result)
         if result.success:
             stats.durations.append(result.duration)
         else:

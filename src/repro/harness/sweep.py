@@ -16,10 +16,10 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO
 
 from ..config.presets import ExperimentConfig
-from ..validation.digest import digest_payload
 from ..validation.invariants import strict_enabled
 from ..workloads.base import Workload
-from .parallel import parallel_map
+from .campaign import run_campaign
+from .parallel import TaskFailure
 from .runner import run_once
 
 __all__ = ["sweep", "sweep_rows_to_csv", "best_row"]
@@ -103,41 +103,30 @@ def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
     CheckpointStore`) journals every finished row as it completes;
     rerunning a killed sweep against the resumed store replays the
     journaled rows and computes only the missing combinations — the
-    merged row list is bit-identical to an uninterrupted sweep.
+    merged row list is bit-identical to an uninterrupted sweep.  A
+    combination whose worker raises or crashes fails the sweep with a
+    ``RuntimeError`` naming it, once every other combination has
+    finished (and been journaled).
     """
     if not grid:
         raise ValueError("empty sweep grid")
     keys = list(grid)
     strict_flag = strict_enabled(strict)
-    tasks = []
-    row_keys = []
+    cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         config = _apply_overrides(base_config, overrides)
-        tasks.append((engine, workload, config, overrides, trials,
-                      base_seed, strict_flag))
-        row_keys.append(digest_payload({
-            "engine": engine, "workload": workload.name,
-            "overrides": {k: v for k, v in overrides.items()},
-            "trials": trials, "base_seed": base_seed}))
-    if checkpoint is None:
-        return parallel_map(_combo_task, tasks, jobs=jobs)
-    rows: List[Optional[Dict[str, object]]] = [None] * len(tasks)
-    pending = []
-    for i, key in enumerate(row_keys):
-        if key in checkpoint:
-            rows[i] = checkpoint.load(key)
-        else:
-            pending.append(i)
-    if pending:
-        def _journal(pos: int, row: Dict[str, object]) -> None:
-            checkpoint.save(row_keys[pending[pos]], row)
-
-        fresh = parallel_map(_combo_task, [tasks[i] for i in pending],
-                             jobs=jobs, on_result=_journal)
-        for pos, row in zip(pending, fresh):
-            rows[pos] = row
-    return rows  # type: ignore[return-value]
+        cells.append(({"engine": engine, "workload": workload.name,
+                       "overrides": overrides, "trials": trials,
+                       "base_seed": base_seed},
+                      (engine, workload, config, overrides, trials,
+                       base_seed, strict_flag)))
+    rows = run_campaign(_combo_task, cells, checkpoint, jobs=jobs)
+    for (key, _args), row in zip(cells, rows):
+        if isinstance(row, TaskFailure):
+            raise RuntimeError(f"sweep cell {key} failed: "
+                               f"{row.describe()}")
+    return rows
 
 
 def best_row(rows: Iterable[Dict[str, object]]) -> Dict[str, object]:

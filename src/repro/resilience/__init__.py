@@ -17,15 +17,13 @@ See ``docs/resilience.md`` for the model and the resume semantics.
 
 from .stochastic import StochasticFaultModel, straggler_plan
 from .sweep import (ResilienceCell, ResilienceCurve, ResilienceFigure,
-                    campaign_fingerprint, default_workloads,
-                    resilience_sweep)
+                    default_workloads, resilience_sweep)
 
 __all__ = [
     "ResilienceCell",
     "ResilienceCurve",
     "ResilienceFigure",
     "StochasticFaultModel",
-    "campaign_fingerprint",
     "default_workloads",
     "resilience_sweep",
     "straggler_plan",

@@ -17,10 +17,10 @@ to a seeded :class:`~repro.faults.plan.FaultPlan` before any
 simulation runs, so the whole figure is digest-pinned and
 bit-identical at any ``--jobs`` value.
 
-The campaign layer is *itself* resilient: cells run under
-:func:`~repro.harness.parallel.robust_map` (per-trial timeout, bounded
-retry, graceful degradation — a crashed or hung worker fails only its
-own cell, recorded as an explicit gap), and a
+The campaign layer is *itself* resilient: cells run through
+:func:`~repro.harness.campaign.run_campaign` (per-trial timeout,
+bounded retry, graceful degradation — a crashed or hung worker fails
+only its own cell, recorded as an explicit gap), and a
 :class:`~repro.harness.checkpoint.CheckpointStore` journals every
 finished cell so a killed campaign resumes with ``--resume`` and
 reproduces the uninterrupted digests exactly.
@@ -37,9 +37,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config.presets import (ExperimentConfig, GiB, kmeans_preset,
                               small_graph_preset, terasort_preset,
                               wordcount_grep_preset)
+from ..harness.campaign import run_campaign
 from ..harness.checkpoint import CheckpointStore
-from ..harness.parallel import TaskFailure, robust_map
-from ..validation.digest import digest_payload
+from ..harness.parallel import TaskFailure
 from ..validation.invariants import strict_enabled
 from ..workloads import (ConnectedComponents, Grep, KMeans, PageRank,
                          TeraSort, WordCount)
@@ -48,7 +48,7 @@ from ..workloads.datagen.graphs import SMALL_GRAPH
 from .stochastic import StochasticFaultModel
 
 __all__ = ["ResilienceCell", "ResilienceCurve", "ResilienceFigure",
-           "campaign_fingerprint", "default_workloads", "resilience_sweep"]
+           "default_workloads", "resilience_sweep"]
 
 #: Test hook: wall-clock seconds to sleep per cell (stretches campaign
 #: wall time for the kill-and-resume tests without touching any
@@ -273,86 +273,44 @@ def resilience_sweep(
     """Run the full resilience campaign and assemble the figure.
 
     One cell per (workload, engine, rate, trial), all independent and
-    deterministic, fanned out via :func:`robust_map`: a cell whose
-    worker raises, crashes or exceeds ``timeout`` is retried up to
-    ``retries`` times and then reported as an explicit gap — the
-    campaign always completes.  ``checkpoint`` journals finished cells;
-    pass a resumed store to continue a killed campaign (gap cells are
-    *not* journaled, so they are re-attempted on resume).
+    deterministic, run through :func:`~repro.harness.campaign.
+    run_campaign`: a cell whose worker raises, crashes or exceeds
+    ``timeout`` is retried up to ``retries`` times and then reported as
+    an explicit gap — the campaign always completes.  ``checkpoint``
+    journals finished cells; pass a resumed store to continue a killed
+    campaign (gap cells are *not* journaled, so they are re-attempted
+    on resume).
     """
     if workloads is None:
         workloads = default_workloads(nodes)
     strict_flag = strict_enabled(strict)
-    labels: List[Tuple[str, str, float, int, int]] = []
-    tasks = []
+    cells = []
     for name, workload, config in workloads:
         for engine in engines:
             for rate in rates:
                 for trial in range(trials):
                     cell_seed = seed + 1000 * trial
-                    labels.append((engine, name, rate, trial, cell_seed))
-                    tasks.append((engine, workload, config, name, rate,
-                                  trial, cell_seed, stragglers,
-                                  strict_flag))
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": e, "workload": w, "rate": r,
-        "trial": t, "seed": s, "nodes": nodes, "stragglers": stragglers,
-    }) for e, w, r, t, s in labels]
-
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _cell_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[ResilienceCell] = []
-    gaps: List[ResilienceCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (engine, name, rate, trial, cell_seed) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(ResilienceCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = ResilienceCell(
-            engine=engine, workload=name, nodes=nodes, rate=rate,
-            trial=trial, seed=cell_seed, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
+                    cells.append(({
+                        "figure_id": figure_id, "engine": engine,
+                        "workload": name, "rate": rate, "trial": trial,
+                        "seed": cell_seed, "nodes": nodes,
+                        "stragglers": stragglers,
+                    }, (engine, workload, config, name, rate, trial,
+                        cell_seed, stragglers, strict_flag)))
+    results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
+                           timeout=timeout, retries=retries,
+                           backoff=backoff)
+    figure_cells = [
+        ResilienceCell.from_payload(result)
+        if not isinstance(result, TaskFailure) else ResilienceCell(
+            engine=key["engine"], workload=key["workload"], nodes=nodes,
+            rate=key["rate"], trial=key["trial"], seed=key["seed"],
+            gap=True, gap_detail=result.describe())
+        for (key, _args), result in zip(cells, results)]
     return ResilienceFigure(
         figure_id=figure_id,
         title=(f"Resilience under sustained fault rates ({nodes} nodes, "
                f"rates per node per run)"),
-        nodes=nodes, rates=list(rates), trials=trials, cells=cells,
-        gaps=gaps)
+        nodes=nodes, rates=list(rates), trials=trials, cells=figure_cells,
+        gaps=[cell for cell in figure_cells if cell.gap])
 
-
-def campaign_fingerprint(figure_id: str, engines: Sequence[str],
-                         workload_names: Sequence[str],
-                         rates: Sequence[float], trials: int, nodes: int,
-                         seed: int, stragglers: int = 0) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for a campaign."""
-    return {
-        "figure_id": figure_id, "engines": list(engines),
-        "workloads": list(workload_names), "rates": list(rates),
-        "trials": trials, "nodes": nodes, "seed": seed,
-        "stragglers": stragglers,
-    }

@@ -27,8 +27,7 @@ from .policies import (POLICY_NAMES, CapacityPolicy, FairSharePolicy,
                        FifoPolicy, QueueConfig, make_policy)
 from .sweep import (DEFAULT_JOBS_TARGET, DEFAULT_LOADS, DEFAULT_POLICIES,
                     TenancyCell, TenancyFigure, default_queues,
-                    default_templates, tenancy_campaign_fingerprint,
-                    tenancy_sweep)
+                    default_templates, tenancy_sweep)
 
 __all__ = [
     "AllocationSnapshot", "CapacityPolicy", "CrashEvent",
@@ -38,5 +37,5 @@ __all__ = [
     "TenancyFigure", "TenancyPlan", "TenancyResult", "WorkloadMix",
     "compile_crash_plan", "default_queues", "default_templates",
     "jain_index", "make_policy", "profile_templates", "run_tenancy",
-    "simultaneous_plan", "tenancy_campaign_fingerprint", "tenancy_sweep",
+    "simultaneous_plan", "tenancy_sweep",
 ]

@@ -20,10 +20,11 @@ byte-identical arrival sequence) and runs it through
 The profiling runs happen **once, in the campaign parent**, so workers
 stay cheap and every cell shares the same services map.
 
-The campaign layer reuses the PR 5 resilience machinery verbatim:
-:func:`~repro.harness.parallel.robust_map` fan-out with explicit gaps,
-:class:`~repro.harness.checkpoint.CheckpointStore` journaling for
-``--resume``, and digest-pinned results bit-identical at any ``--jobs``.
+Cells run through :func:`~repro.harness.campaign.run_campaign`, the
+campaign primitive every journaled experiment shares: fault-contained
+fan-out with explicit gaps, :class:`~repro.harness.checkpoint.
+CheckpointStore` journaling for ``--resume``, and digest-pinned results
+bit-identical at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..harness.campaign import run_campaign
 from ..harness.checkpoint import CheckpointStore
-from ..harness.parallel import TaskFailure, robust_map
-from ..validation.digest import digest_payload
+from ..harness.parallel import TaskFailure
 from ..validation.invariants import strict_enabled
 from .core import run_tenancy
 from .jobs import JobTemplate, profile_templates
@@ -44,8 +45,7 @@ from .mix import WorkloadMix, compile_crash_plan
 from .policies import POLICY_NAMES, QueueConfig, make_policy
 
 __all__ = ["TenancyCell", "TenancyFigure", "default_queues",
-           "default_templates", "tenancy_campaign_fingerprint",
-           "tenancy_sweep"]
+           "default_templates", "tenancy_sweep"]
 
 #: Test hook: wall-clock seconds to sleep per cell (stretches campaign
 #: wall time for the kill-and-resume tests without touching any
@@ -284,8 +284,8 @@ def tenancy_sweep(
     / nodes); ``jobs_target`` sets the expected arrivals per cell, so
     the arrival horizon shrinks as load grows.  ``crash_rate`` > 0 adds
     compiled mid-campaign node crashes (expected crashes per node per
-    horizon).  Cells fan out via :func:`robust_map` with explicit gaps
-    and checkpoint journaling, exactly like the resilience sweep.
+    horizon).  Cells run through :func:`~repro.harness.campaign.
+    run_campaign` with explicit gaps and checkpoint journaling.
     """
     if templates is None:
         templates = default_templates(nodes)
@@ -299,82 +299,38 @@ def tenancy_sweep(
 
     templates_payload = [t.payload() for t in templates]
     queues_payload = [q.payload() for q in queues]
-    labels: List[Tuple[str, float, int, int]] = []
-    tasks = []
+    cells = []
     for policy in policies:
         for load in loads:
             for trial in range(trials):
                 # Common random numbers: the seed ignores the policy,
                 # so every policy faces identical arrival plans.
                 cell_seed = seed + 1000 * trial
-                labels.append((policy, load, trial, cell_seed))
-                tasks.append((policy, load, trial, cell_seed, nodes,
-                              templates_payload, queues_payload, services,
-                              crash_rate, jobs_target, strict_flag))
-    keys = [digest_payload({
-        "figure_id": figure_id, "policy": p, "load": lo, "trial": t,
-        "seed": s, "nodes": nodes, "crash_rate": crash_rate,
-        "jobs_target": jobs_target, "templates": templates_payload,
-        "queues": queues_payload,
-    }) for p, lo, t, s in labels]
-
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _cell_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[TenancyCell] = []
-    gaps: List[TenancyCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (policy, load, trial, cell_seed) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(TenancyCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = TenancyCell(
-            policy=policy, load=load, trial=trial, seed=cell_seed,
-            nodes=nodes, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
+                cells.append(({
+                    "figure_id": figure_id, "policy": policy, "load": load,
+                    "trial": trial, "seed": cell_seed, "nodes": nodes,
+                    "crash_rate": crash_rate, "jobs_target": jobs_target,
+                    "templates": templates_payload,
+                    "queues": queues_payload,
+                }, (policy, load, trial, cell_seed, nodes, templates_payload,
+                    queues_payload, services, crash_rate, jobs_target,
+                    strict_flag)))
+    results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
+                           timeout=timeout, retries=retries,
+                           backoff=backoff)
+    figure_cells = [
+        TenancyCell.from_payload(result)
+        if not isinstance(result, TaskFailure) else TenancyCell(
+            policy=key["policy"], load=key["load"], trial=key["trial"],
+            seed=key["seed"], nodes=nodes, gap=True,
+            gap_detail=result.describe())
+        for (key, _args), result in zip(cells, results)]
     return TenancyFigure(
         figure_id=figure_id,
         title=(f"Multi-tenant scheduling under offered load ({nodes} "
                f"nodes, {len(templates)} job template(s), "
                f"~{jobs_target} job(s)/cell)"),
         nodes=nodes, loads=list(loads), policies=list(policies),
-        trials=trials, cells=cells, gaps=gaps)
+        trials=trials, cells=figure_cells,
+        gaps=[cell for cell in figure_cells if cell.gap])
 
-
-def tenancy_campaign_fingerprint(
-        figure_id: str, policies: Sequence[str], loads: Sequence[float],
-        trials: int, nodes: int, seed: int, crash_rate: float,
-        jobs_target: int,
-        template_names: Sequence[str]) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for a campaign."""
-    return {
-        "figure_id": figure_id, "policies": list(policies),
-        "loads": list(loads), "trials": trials, "nodes": nodes,
-        "seed": seed, "crash_rate": crash_rate,
-        "jobs_target": jobs_target,
-        "templates": list(template_names),
-    }

@@ -25,7 +25,7 @@ set per engine:
 
 Every candidate is a canonical descriptor; its digest keys the result
 cache, and :func:`evaluate_candidate` is a module-level JSON-in/JSON-out
-function so it fans out across process-isolated workers (``robust_map``
+function so it fans out across process-isolated workers (``run_campaign``
 batch-side, :class:`~repro.serve.pool.AsyncWorkerPool` service-side)
 and its result is exactly reproducible: same descriptor, same payload,
 same digest — the property the serving cache and the chaos harness's
@@ -368,7 +368,7 @@ def search_levels(query: CapacityQuery):
     Yields candidate-descriptor lists one cluster size at a time and
     receives their result lists via ``send``; returns the final plan
     payload.  Both execution strategies — :func:`plan_capacity`
-    (blocking, ``robust_map``) and the service's async pool — drive
+    (blocking, ``run_campaign``) and the service's async pool — drive
     *this* generator, so they cannot diverge: same query, same walk,
     same answer digest.
     """
@@ -404,7 +404,7 @@ def plan_capacity(query: CapacityQuery,
                   ) -> Dict[str, Any]:
     """Walk cluster sizes ascending; stop at the first size that meets
     the SLO.  ``evaluate_many(descs) -> results`` is the execution
-    strategy (serial, ``robust_map``) — the search itself is pure, so
+    strategy (serial, ``run_campaign``) — the search itself is pure, so
     every strategy returns the same answer payload.
     """
     gen = search_levels(query)
@@ -432,45 +432,24 @@ async def plan_capacity_async(query: CapacityQuery,
 def plan_capacity_sync(query: CapacityQuery,
                        jobs: Optional[int] = None,
                        timeout: Optional[float] = None,
-                       retries: int = 1, backoff: float = 0.5,
-                       cache: Optional[Any] = None) -> Dict[str, Any]:
-    """One-shot planning (the ``repro plan`` CLI): candidates fan out
-    via :func:`~repro.harness.parallel.robust_map` with the same
-    failure containment as the campaign sweeps; a cell whose worker
-    cannot complete becomes an explicit error result, not an abort."""
-    from ..harness.parallel import robust_map
+                       retries: int = 1, backoff: float = 0.5
+                       ) -> Dict[str, Any]:
+    """One-shot planning (the ``repro plan`` CLI): each level's
+    candidates are the cells of a :func:`~repro.harness.campaign.
+    run_campaign`, with the same failure containment as the campaign
+    sweeps; a cell whose worker cannot complete becomes an explicit
+    ``worker-failure`` result, not an abort."""
+    from ..harness.campaign import run_campaign
+    from ..harness.parallel import TaskFailure
 
     def evaluate_many(descs: List[Dict[str, Any]]
                       ) -> List[Dict[str, Any]]:
-        results: List[Optional[Dict[str, Any]]] = [None] * len(descs)
-        pending: List[int] = []
-        for i, desc in enumerate(descs):
-            key = "cell:" + candidate_digest(desc)
-            hit = cache.get(key) if cache is not None else None
-            if hit is not None:
-                results[i] = hit
-            else:
-                pending.append(i)
-        if pending:
-            fresh, failures = robust_map(
-                evaluate_candidate, [(descs[i],) for i in pending],
-                jobs=jobs, timeout=timeout, retries=retries,
-                backoff=backoff)
-            failed = {f.index: f for f in failures}
-            for pos, i in enumerate(pending):
-                if fresh[pos] is not None:
-                    results[i] = fresh[pos]
-                    if cache is not None:
-                        cache.put("cell:" + candidate_digest(descs[i]),
-                                  fresh[pos])
-                else:
-                    f = failed.get(pos)
-                    results[i] = {
-                        "ok": False, "feasible": False,
-                        "reason": (f"worker-failure: {f.describe()}"
-                                   if f is not None else
-                                   "worker-failure"),
-                        "advice": [], "duration": None, "sim_events": 0}
-        return [r for r in results if r is not None]
+        results = run_campaign(
+            evaluate_candidate, [(desc, (desc,)) for desc in descs],
+            jobs=jobs, timeout=timeout, retries=retries, backoff=backoff)
+        return [{"ok": False, "feasible": False,
+                 "reason": f"worker-failure: {r.describe()}",
+                 "advice": [], "duration": None, "sim_events": 0}
+                if isinstance(r, TaskFailure) else r for r in results]
 
     return plan_capacity(query, evaluate_many)

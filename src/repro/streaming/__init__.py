@@ -33,9 +33,8 @@ from .sweep import (DEFAULT_CHECKPOINT_INTERVALS, DEFAULT_DURATION,
                     DEFAULT_FAULT_RATES, DEFAULT_LOAD_FRACTIONS,
                     DEFAULT_LOAD_MULTIPLES, FIG21_CRASH_AT,
                     FIG21_LOAD_FRACTION, DegradationFigure, DegradeCell,
-                    StreamingCell, StreamingFigure,
-                    degradation_campaign_fingerprint, degradation_sweep,
-                    streaming_campaign_fingerprint, streaming_sweep)
+                    StreamingCell, StreamingFigure, degradation_sweep,
+                    streaming_sweep)
 
 __all__ = [
     "StreamingResult", "StreamingWorkloadModel", "max_stable_throughput",
@@ -51,10 +50,8 @@ __all__ = [
     "BatchIntervalController", "compile_crash_schedule",
     "resolve_policy", "DEGRADE_POLICIES",
     "StreamingCell", "StreamingFigure", "streaming_sweep",
-    "streaming_campaign_fingerprint", "DEFAULT_LOAD_FRACTIONS",
-    "DEFAULT_CHECKPOINT_INTERVALS", "FIG21_LOAD_FRACTION",
-    "FIG21_CRASH_AT", "DEFAULT_DURATION",
+    "DEFAULT_LOAD_FRACTIONS", "DEFAULT_CHECKPOINT_INTERVALS",
+    "FIG21_LOAD_FRACTION", "FIG21_CRASH_AT", "DEFAULT_DURATION",
     "DegradeCell", "DegradationFigure", "degradation_sweep",
-    "degradation_campaign_fingerprint", "DEFAULT_LOAD_MULTIPLES",
-    "DEFAULT_FAULT_RATES",
+    "DEFAULT_LOAD_MULTIPLES", "DEFAULT_FAULT_RATES",
 ]

@@ -26,13 +26,13 @@ engines (:mod:`repro.streaming.engines`):
   common random numbers: the same seed x fault rate gives every
   engine x policy the identical crash sequence.
 
-The campaign layer mirrors :mod:`repro.resilience.sweep`: every cell
-is deterministic (arrival randomness is compiled into an
+Every cell is deterministic (arrival randomness is compiled into an
 :class:`~repro.streaming.arrivals.ArrivalPlan` before any simulation),
-cells fan out via :func:`~repro.harness.parallel.robust_map` with
-explicit gap reporting, and a
-:class:`~repro.harness.checkpoint.CheckpointStore` journals finished
-cells so a SIGKILLed campaign resumes bit-identically.
+and the campaigns run through :func:`~repro.harness.campaign.
+run_campaign`, like every journaled experiment: cells fan out with
+explicit gap reporting, and a :class:`~repro.harness.checkpoint.
+CheckpointStore` journals finished cells so a SIGKILLed campaign
+resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -43,20 +43,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..harness.campaign import run_campaign
 from ..harness.checkpoint import CheckpointStore
-from ..harness.parallel import TaskFailure, robust_map
-from ..validation.digest import digest_payload
+from ..harness.parallel import TaskFailure
 from ..validation.invariants import strict_enabled
 from .arrivals import ARRIVAL_KINDS, make_arrivals
 from .engines import STREAMING_ENGINES, run_streaming
 from .model import StreamingWorkloadModel, max_stable_throughput
 
 __all__ = ["StreamingCell", "StreamingFigure", "streaming_sweep",
-           "streaming_campaign_fingerprint", "DEFAULT_LOAD_FRACTIONS",
-           "DEFAULT_CHECKPOINT_INTERVALS", "FIG21_LOAD_FRACTION",
-           "FIG21_CRASH_AT", "DEFAULT_DURATION", "ENV_DELAY",
-           "DegradeCell", "DegradationFigure", "degradation_sweep",
-           "degradation_campaign_fingerprint", "DEFAULT_LOAD_MULTIPLES",
+           "DEFAULT_LOAD_FRACTIONS", "DEFAULT_CHECKPOINT_INTERVALS",
+           "FIG21_LOAD_FRACTION", "FIG21_CRASH_AT", "DEFAULT_DURATION",
+           "ENV_DELAY", "DegradeCell", "DegradationFigure",
+           "degradation_sweep", "DEFAULT_LOAD_MULTIPLES",
            "DEFAULT_FAULT_RATES"]
 
 #: Test hook: wall-clock seconds to sleep per cell (stretches campaign
@@ -238,6 +237,16 @@ class StreamingFigure:
 # ----------------------------------------------------------------------
 # the campaign
 # ----------------------------------------------------------------------
+def _decode(cell_type, key: Dict[str, Any], result: Any):
+    """One campaign result as a cell: its journal payload decoded, or a
+    gap for a cell that could not finish.  Every key field but
+    ``figure_id`` is a cell field, so the gap keeps the cell's identity."""
+    if isinstance(result, TaskFailure):
+        identity = {k: v for k, v in key.items() if k != "figure_id"}
+        return cell_type(**identity, gap=True, gap_detail=result.describe())
+    return cell_type.from_payload(result)
+
+
 def streaming_sweep(
         figure_id: str = "fig20",
         engines: Sequence[str] = STREAMING_ENGINES,
@@ -262,10 +271,11 @@ def streaming_sweep(
       fraction (the first entry of ``load_fractions``) with Poisson
       arrivals.
 
-    Cells are independent and deterministic, fanned out via
-    :func:`robust_map`; a cell whose worker raises, crashes or exceeds
-    ``timeout`` is retried and then reported as an explicit gap.
-    ``checkpoint`` journals finished cells for kill-and-resume.
+    Cells are independent and deterministic, run through
+    :func:`~repro.harness.campaign.run_campaign`; a cell whose worker
+    raises, crashes or exceeds ``timeout`` is retried and then reported
+    as an explicit gap.  ``checkpoint`` journals finished cells for
+    kill-and-resume.
     """
     labels: List[Tuple[str, str, float, float]] = []
     if checkpoint_intervals is not None:
@@ -286,77 +296,22 @@ def streaming_sweep(
                  f"({nodes} nodes, {duration:g}s campaigns)")
 
     strict_flag = strict_enabled(strict)
-    tasks = [(engine, kind, fraction, interval, nodes, seed, duration,
-              batch_interval, crash_at, strict_flag)
-             for engine, kind, fraction, interval in labels]
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": e, "arrival_kind": k,
-        "load_fraction": f, "checkpoint_interval": i, "nodes": nodes,
-        "seed": seed, "duration": duration,
-        "batch_interval": batch_interval, "crash_at": crash_at,
-    }) for e, k, f, i in labels]
-
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _cell_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[StreamingCell] = []
-    gaps: List[StreamingCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (engine, kind, fraction, interval) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(StreamingCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = StreamingCell(
-            engine=engine, arrival_kind=kind, load_fraction=fraction,
-            checkpoint_interval=interval, nodes=nodes, seed=seed,
-            duration=duration, batch_interval=batch_interval,
-            crash_at=crash_at, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
-    return StreamingFigure(figure_id=figure_id, title=title, nodes=nodes,
-                           duration=duration, cells=cells, gaps=gaps)
-
-
-def streaming_campaign_fingerprint(
-        figure_id: str, engines: Sequence[str],
-        arrival_kinds: Sequence[str], load_fractions: Sequence[float],
-        checkpoint_intervals: Optional[Sequence[float]], nodes: int,
-        seed: int, duration: float, batch_interval: float,
-        crash_at: Optional[float]) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for a campaign."""
-    return {
-        "figure_id": figure_id, "engines": list(engines),
-        "arrival_kinds": list(arrival_kinds),
-        "load_fractions": list(load_fractions),
-        "checkpoint_intervals": (list(checkpoint_intervals)
-                                 if checkpoint_intervals is not None
-                                 else None),
+    cells = [({
+        "figure_id": figure_id, "engine": engine, "arrival_kind": kind,
+        "load_fraction": fraction, "checkpoint_interval": interval,
         "nodes": nodes, "seed": seed, "duration": duration,
         "batch_interval": batch_interval, "crash_at": crash_at,
-    }
+    }, (engine, kind, fraction, interval, nodes, seed, duration,
+        batch_interval, crash_at, strict_flag))
+        for engine, kind, fraction, interval in labels]
+    results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
+                           timeout=timeout, retries=retries,
+                           backoff=backoff)
+    figure_cells = [_decode(StreamingCell, key, result)
+                    for (key, _args), result in zip(cells, results)]
+    return StreamingFigure(
+        figure_id=figure_id, title=title, nodes=nodes, duration=duration,
+        cells=figure_cells, gaps=[c for c in figure_cells if c.gap])
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +411,7 @@ def _degrade_task(engine: str, load_multiple: float, fault_rate: float,
                   policy: str, nodes: int, seed: int, duration: float,
                   batch_interval: float,
                   strict: bool) -> Dict[str, Any]:
-    """Run one fig22 cell (module-level, JSON-in/out for robust_map)."""
+    """Run one fig22 cell (module-level, JSON-in/out for run_campaign)."""
     from .policies import compile_crash_schedule, resolve_policy
     delay = float(os.environ.get(ENV_DELAY, "0") or 0)
     if delay > 0:
@@ -536,85 +491,29 @@ def degradation_sweep(
 ) -> DegradationFigure:
     """Run the fig22 degradation campaign and assemble the figure.
 
-    One cell per engine x load multiple x fault rate x policy, fanned
-    out via :func:`robust_map` exactly like :func:`streaming_sweep`
-    (gaps, retries, checkpoint journaling, bit-identical at any
-    ``jobs``).
+    One cell per engine x load multiple x fault rate x policy, run like
+    :func:`streaming_sweep`'s (gaps, retries, checkpoint journaling,
+    bit-identical at any ``jobs``).
     """
-    labels: List[Tuple[str, float, float, str]] = []
-    for engine in engines:
-        for multiple in load_multiples:
-            for rate in fault_rates:
-                for policy in policies:
-                    labels.append((engine, multiple, rate, policy))
     title = (f"Overload survival: goodput/loss/p99/availability vs "
              f"load multiple x fault rate x policy "
              f"({nodes} nodes, {duration:g}s campaigns)")
-
     strict_flag = strict_enabled(strict)
-    tasks = [(engine, multiple, rate, policy, nodes, seed, duration,
-              batch_interval, strict_flag)
-             for engine, multiple, rate, policy in labels]
-    keys = [digest_payload({
-        "figure_id": figure_id, "engine": e, "load_multiple": m,
-        "fault_rate": r, "policy": p, "nodes": nodes, "seed": seed,
-        "duration": duration, "batch_interval": batch_interval,
-    }) for e, m, r, p in labels]
+    cells = [({
+        "figure_id": figure_id, "engine": engine,
+        "load_multiple": multiple, "fault_rate": rate, "policy": policy,
+        "nodes": nodes, "seed": seed, "duration": duration,
+        "batch_interval": batch_interval,
+    }, (engine, multiple, rate, policy, nodes, seed, duration,
+        batch_interval, strict_flag))
+        for engine in engines for multiple in load_multiples
+        for rate in fault_rates for policy in policies]
+    results = run_campaign(_degrade_task, cells, checkpoint, jobs=jobs,
+                           timeout=timeout, retries=retries,
+                           backoff=backoff)
+    figure_cells = [_decode(DegradeCell, key, result)
+                    for (key, _args), result in zip(cells, results)]
+    return DegradationFigure(
+        figure_id=figure_id, title=title, nodes=nodes, duration=duration,
+        cells=figure_cells, gaps=[c for c in figure_cells if c.gap])
 
-    pending = list(range(len(tasks)))
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    if checkpoint is not None:
-        pending = []
-        for i, key in enumerate(keys):
-            if key in checkpoint:
-                results[i] = checkpoint.load(key)
-            else:
-                pending.append(i)
-
-    failures: List[TaskFailure] = []
-    if pending:
-        def _journal(pending_pos: int, payload: Dict[str, Any]) -> None:
-            if checkpoint is not None:
-                checkpoint.save(keys[pending[pending_pos]], payload)
-
-        fresh, failures = robust_map(
-            _degrade_task, [tasks[i] for i in pending], jobs=jobs,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_result=_journal)
-        for pos, result in zip(pending, fresh):
-            results[pos] = result
-
-    cells: List[DegradeCell] = []
-    gaps: List[DegradeCell] = []
-    failed = {pending[f.index]: f for f in failures}
-    for i, (engine, multiple, rate, policy) in enumerate(labels):
-        if results[i] is not None:
-            cells.append(DegradeCell.from_payload(results[i]))
-            continue
-        failure = failed.get(i)
-        gap = DegradeCell(
-            engine=engine, load_multiple=multiple, fault_rate=rate,
-            policy=policy, nodes=nodes, seed=seed, duration=duration,
-            batch_interval=batch_interval, gap=True,
-            gap_detail=(failure.describe() if failure is not None
-                        else "missing result"))
-        cells.append(gap)
-        gaps.append(gap)
-    return DegradationFigure(figure_id=figure_id, title=title,
-                             nodes=nodes, duration=duration,
-                             cells=cells, gaps=gaps)
-
-
-def degradation_campaign_fingerprint(
-        figure_id: str, engines: Sequence[str],
-        load_multiples: Sequence[float], fault_rates: Sequence[float],
-        policies: Sequence[str], nodes: int, seed: int, duration: float,
-        batch_interval: float) -> Dict[str, Any]:
-    """The identity payload a checkpoint store pins for fig22."""
-    return {
-        "figure_id": figure_id, "engines": list(engines),
-        "load_multiples": list(load_multiples),
-        "fault_rates": list(fault_rates),
-        "policies": list(policies), "nodes": nodes, "seed": seed,
-        "duration": duration, "batch_interval": batch_interval,
-    }

@@ -21,7 +21,6 @@ from repro.config.presets import GiB, wordcount_grep_preset
 from repro.harness.checkpoint import CheckpointError, CheckpointStore
 from repro.harness.figures import fig01_wordcount_weak, fig19_resilience
 from repro.harness.sweep import sweep
-from repro.resilience import campaign_fingerprint
 from repro.validation.digest import (digest_payload, resilience_payload,
                                      scaling_payload)
 from repro.workloads import WordCount
@@ -196,8 +195,9 @@ def test_partial_campaign_resumes_bit_identically(tmp_path):
     # hash identically to the uninterrupted run.
     kwargs = dict(rates=(0.0, 1.0), workload_names=("wordcount",))
     plain = fig19_resilience(**kwargs)
-    fp = campaign_fingerprint("fig19", ("flink", "spark"), ("wordcount",),
-                              (0.0, 1.0), 1, 8, 0)
+    fp = {"figure_id": "fig19", "engines": ["flink", "spark"],
+          "workloads": ["wordcount"], "rates": [0.0, 1.0], "trials": 1,
+          "nodes": 8, "seed": 0, "stragglers": 0}
     with CheckpointStore(tmp_path / "s", fp) as store:
         fig19_resilience(**kwargs, checkpoint=store)
     journal = tmp_path / "s" / "journal.jsonl"
@@ -215,15 +215,17 @@ def test_partial_campaign_resumes_bit_identically(tmp_path):
 # ----------------------------------------------------------------------
 # the real thing: SIGKILL the harness mid-campaign, then resume
 # ----------------------------------------------------------------------
-_CHILD = """
+FIG19_FP = {"figure_id": "fig19", "engines": ["flink", "spark"],
+            "workloads": ["wordcount", "grep"], "rates": [0.0, 1.0],
+            "trials": 1, "nodes": 8, "seed": 0, "stragglers": 0}
+
+_CHILD = f"""
 import sys
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig19_resilience
-from repro.resilience import campaign_fingerprint
 
 root = sys.argv[1]
-fp = campaign_fingerprint("fig19", ("flink", "spark"),
-                          ("wordcount", "grep"), (0.0, 1.0), 1, 8, 0)
+fp = {FIG19_FP!r}
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig19_resilience(rates=(0.0, 1.0),
                      workload_names=("wordcount", "grep"),
@@ -255,9 +257,7 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
 
     # Resume in-process and compare against an uninterrupted run.
     from repro.validation.digest import resilience_payload
-    fp = campaign_fingerprint("fig19", ("flink", "spark"),
-                              ("wordcount", "grep"), (0.0, 1.0), 1, 8, 0)
-    with CheckpointStore(root, fp, resume=True) as store:
+    with CheckpointStore(root, FIG19_FP, resume=True) as store:
         resumed = fig19_resilience(rates=(0.0, 1.0),
                                    workload_names=("wordcount", "grep"),
                                    checkpoint=store)

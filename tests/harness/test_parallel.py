@@ -122,13 +122,6 @@ def test_worker_crash_error_names_candidate_tasks():
     assert err.candidate_indices  # the unfinished tasks are listed
 
 
-def test_on_result_fires_per_completed_task():
-    seen = {}
-    parallel_map(_square, [(2,), (3,)], jobs=1,
-                 on_result=lambda i, r: seen.__setitem__(i, r))
-    assert seen == {0: 4, 1: 9}
-
-
 # ----------------------------------------------------------------------
 # robust_map: graceful degradation
 # ----------------------------------------------------------------------

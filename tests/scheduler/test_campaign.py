@@ -13,8 +13,7 @@ import pytest
 
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig23_tenancy
-from repro.scheduler import (JobTemplate, default_templates,
-                             tenancy_campaign_fingerprint, tenancy_sweep)
+from repro.scheduler import JobTemplate, tenancy_sweep
 from repro.scheduler.sweep import DEFAULT_POLICIES
 from repro.validation.digest import digest_payload, tenancy_payload
 
@@ -22,10 +21,11 @@ LOADS = (0.5, 0.9)
 KW = dict(nodes=4, loads=LOADS, trials=1, jobs_target=6)
 
 
-def small_fingerprint():
-    return tenancy_campaign_fingerprint(
-        "fig23", DEFAULT_POLICIES, LOADS, 1, 4, 0, 0.0, 6,
-        [t.name for t in default_templates(4)])
+FIG23_FP = {"figure_id": "fig23", "policies": ["fifo", "fair", "capacity"],
+            "loads": [0.5, 0.9], "trials": 1, "nodes": 4, "seed": 0,
+            "crash_rate": 0.0, "jobs_target": 6,
+            "templates": ["wc-spark", "grep-flink", "sort-flink",
+                          "kmeans-spark"]}
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_unknown_policy_fails_fast():
 # checkpoint resume identity
 # ----------------------------------------------------------------------
 def test_partial_campaign_resumes_bit_identically(tmp_path, small_fig23):
-    fp = small_fingerprint()
+    fp = FIG23_FP
     with CheckpointStore(tmp_path / "s", fp) as store:
         fig23_tenancy(**KW, checkpoint=store)
     journal = tmp_path / "s" / "journal.jsonl"

@@ -27,9 +27,7 @@ import pytest
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig23_tenancy
 from repro.scheduler import (JobTemplate, QueueConfig, WorkloadMix,
-                             compile_crash_plan, default_templates,
-                             make_policy, run_tenancy,
-                             tenancy_campaign_fingerprint)
+                             compile_crash_plan, make_policy, run_tenancy)
 from repro.scheduler.sweep import DEFAULT_POLICIES
 from repro.validation.digest import digest_payload, tenancy_payload
 
@@ -105,17 +103,19 @@ def test_fuzzed_runs_are_replay_identical(seed):
 LOADS = (0.5, 0.9)
 KW = dict(nodes=4, loads=LOADS, trials=1, jobs_target=6)
 
-_CHILD = """
+FIG23_FP = {"figure_id": "fig23", "policies": ["fifo", "fair", "capacity"],
+            "loads": [0.5, 0.9], "trials": 1, "nodes": 4, "seed": 0,
+            "crash_rate": 0.0, "jobs_target": 6,
+            "templates": ["wc-spark", "grep-flink", "sort-flink",
+                          "kmeans-spark"]}
+
+_CHILD = f"""
 import sys
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig23_tenancy
-from repro.scheduler import default_templates, tenancy_campaign_fingerprint
-from repro.scheduler.sweep import DEFAULT_POLICIES
 
 root = sys.argv[1]
-fp = tenancy_campaign_fingerprint(
-    "fig23", DEFAULT_POLICIES, (0.5, 0.9), 1, 4, 0, 0.0, 6,
-    [t.name for t in default_templates(4)])
+fp = {FIG23_FP!r}
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig23_tenancy(nodes=4, loads=(0.5, 0.9), trials=1, jobs_target=6,
                   checkpoint=store)
@@ -145,10 +145,7 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
     done_before = journal.read_text().count("\n")
     assert 0 < done_before < 6, "kill landed before/after the campaign"
 
-    fp = tenancy_campaign_fingerprint(
-        "fig23", DEFAULT_POLICIES, LOADS, 1, 4, 0, 0.0, 6,
-        [t.name for t in default_templates(4)])
-    with CheckpointStore(root, fp, resume=True) as store:
+    with CheckpointStore(root, FIG23_FP, resume=True) as store:
         resumed = fig23_tenancy(**KW, checkpoint=store)
         assert len(store) == 6
     assert not resumed.gaps

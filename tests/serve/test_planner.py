@@ -144,17 +144,6 @@ def test_robust_map_path_matches_serial():
         "serial evaluation")
 
 
-def test_cell_cache_short_circuits_reevaluation():
-    from repro.serve import DigestCache
-    query = CapacityQuery(**QUICK)
-    cache = DigestCache()
-    first = plan_capacity_sync(query, jobs=None, cache=cache)
-    hits_before = cache.snapshot()["hits"]
-    second = plan_capacity_sync(query, jobs=None, cache=cache)
-    assert second["answer_digest"] == first["answer_digest"]
-    assert cache.snapshot()["hits"] > hits_before
-
-
 def test_synthesize_prefers_small_then_fast():
     query = CapacityQuery(workload="grep", slo_seconds=100.0)
 

@@ -17,8 +17,7 @@ import pytest
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import (fig20_streaming_latency,
                                    fig21_streaming_recovery)
-from repro.streaming import (streaming_campaign_fingerprint,
-                             streaming_sweep)
+from repro.streaming import streaming_sweep
 from repro.validation.digest import digest_payload, streaming_payload
 
 LOADS = (0.3, 0.6)
@@ -136,9 +135,10 @@ def test_worker_failure_becomes_a_gap_not_an_abort():
 # checkpoint resume identity
 # ----------------------------------------------------------------------
 def test_partial_campaign_resumes_bit_identically(tmp_path, small_fig21):
-    fp = streaming_campaign_fingerprint(
-        "fig21", ("flink", "spark"), ("poisson", "mmpp"), (0.5,),
-        (2.0, 9.0), 4, 0, 24.0, 1.0, 13.0)
+    fp = {"figure_id": "fig21", "engines": ["flink", "spark"],
+          "arrival_kinds": ["poisson", "mmpp"], "load_fractions": [0.5],
+          "checkpoint_intervals": [2.0, 9.0], "nodes": 4, "seed": 0,
+          "duration": 24.0, "batch_interval": 1.0, "crash_at": 13.0}
     with CheckpointStore(tmp_path / "s", fp) as store:
         fig21_streaming_recovery(**KW21, checkpoint=store)
     journal = tmp_path / "s" / "journal.jsonl"
@@ -156,16 +156,19 @@ def test_partial_campaign_resumes_bit_identically(tmp_path, small_fig21):
 # ----------------------------------------------------------------------
 # the real thing: SIGKILL mid-campaign, then resume
 # ----------------------------------------------------------------------
-_CHILD = """
+FIG20_FP = {"figure_id": "fig20", "engines": ["flink", "spark"],
+            "arrival_kinds": ["poisson", "mmpp"],
+            "load_fractions": [0.3, 0.6], "checkpoint_intervals": None,
+            "nodes": 4, "seed": 0, "duration": 12.0,
+            "batch_interval": 1.0, "crash_at": None}
+
+_CHILD = f"""
 import sys
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig20_streaming_latency
-from repro.streaming import streaming_campaign_fingerprint
 
 root = sys.argv[1]
-fp = streaming_campaign_fingerprint(
-    "fig20", ("flink", "spark"), ("poisson", "mmpp"), (0.3, 0.6),
-    None, 4, 0, 12.0, 1.0, None)
+fp = {FIG20_FP!r}
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig20_streaming_latency(nodes=4, load_fractions=(0.3, 0.6),
                             duration=12.0, checkpoint=store)
@@ -194,10 +197,7 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path, small_fig20):
     done_before = journal.read_text().count("\n")
     assert 0 < done_before < 8, "kill landed before/after the campaign"
 
-    fp = streaming_campaign_fingerprint(
-        "fig20", ("flink", "spark"), ("poisson", "mmpp"), (0.3, 0.6),
-        None, 4, 0, 12.0, 1.0, None)
-    with CheckpointStore(root, fp, resume=True) as store:
+    with CheckpointStore(root, FIG20_FP, resume=True) as store:
         resumed = fig20_streaming_latency(**KW20, checkpoint=store)
         assert len(store) == 8
     assert not resumed.gaps

@@ -18,12 +18,15 @@ import pytest
 
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig22_degradation
-from repro.streaming import (degradation_campaign_fingerprint,
-                             degradation_sweep)
+from repro.streaming import degradation_sweep
 from repro.validation.digest import digest_payload, streaming_payload
 
 MULTIPLES = (1.0, 1.5)
 RATES = (0.0, 0.5)
+FIG22_FP = {"figure_id": "fig22", "engines": ["flink", "spark"],
+            "load_multiples": [1.0, 1.5], "fault_rates": [0.0, 0.5],
+            "policies": ["none", "degrade"], "nodes": 4, "seed": 0,
+            "duration": 12.0, "batch_interval": 1.0}
 KW22 = dict(nodes=4, load_multiples=MULTIPLES, fault_rates=RATES,
             duration=12.0)
 
@@ -145,9 +148,7 @@ def test_worker_failure_becomes_a_gap_not_an_abort():
 # checkpoint resume identity
 # ----------------------------------------------------------------------
 def test_partial_campaign_resumes_bit_identically(tmp_path, small_fig22):
-    fp = degradation_campaign_fingerprint(
-        "fig22", ("flink", "spark"), MULTIPLES, RATES,
-        ("none", "degrade"), 4, 0, 12.0, 1.0)
+    fp = FIG22_FP
     with CheckpointStore(tmp_path / "s", fp) as store:
         fig22_degradation(**KW22, checkpoint=store)
     journal = tmp_path / "s" / "journal.jsonl"
@@ -165,16 +166,13 @@ def test_partial_campaign_resumes_bit_identically(tmp_path, small_fig22):
 # ----------------------------------------------------------------------
 # SIGKILL mid-campaign, then resume
 # ----------------------------------------------------------------------
-_CHILD = """
+_CHILD = f"""
 import sys
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import fig22_degradation
-from repro.streaming import degradation_campaign_fingerprint
 
 root = sys.argv[1]
-fp = degradation_campaign_fingerprint(
-    "fig22", ("flink", "spark"), (1.0, 1.5), (0.0, 0.5),
-    ("none", "degrade"), 4, 0, 12.0, 1.0)
+fp = {FIG22_FP!r}
 with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
     fig22_degradation(nodes=4, load_multiples=(1.0, 1.5),
                       fault_rates=(0.0, 0.5), duration=12.0,
@@ -203,10 +201,7 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path, small_fig22):
     done_before = journal.read_text().count("\n")
     assert 0 < done_before < 16, "kill landed before/after the campaign"
 
-    fp = degradation_campaign_fingerprint(
-        "fig22", ("flink", "spark"), MULTIPLES, RATES,
-        ("none", "degrade"), 4, 0, 12.0, 1.0)
-    with CheckpointStore(root, fp, resume=True) as store:
+    with CheckpointStore(root, FIG22_FP, resume=True) as store:
         resumed = fig22_degradation(**KW22, checkpoint=store)
         assert len(store) == 16
     assert not resumed.gaps

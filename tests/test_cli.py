@@ -112,13 +112,30 @@ def test_resilience_command_checkpoint_resume(tmp_path, capsys):
     assert main(argv + ["--resume"]) == 0
     assert capsys.readouterr().out == first
     # Re-running without --resume must refuse, not clobber.
-    with pytest.raises(Exception):
-        main(argv)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "already exists" in err
+    assert "Traceback" not in err
+    # Resuming with different arguments is a different campaign.
+    assert main(["resilience", "--workloads", "wordcount", "--rates", "1",
+                 "--checkpoint", str(tmp_path / "store"), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "different campaign" in err
+    assert "Traceback" not in err
 
 
 def test_resilience_resume_requires_checkpoint(capsys):
     with pytest.raises(SystemExit):
         main(["resilience", "--resume"])
+
+
+@pytest.mark.parametrize("fig_id", ["fig03", "fig18"])
+def test_uncheckpointable_figures_refuse_checkpoint(fig_id, tmp_path,
+                                                    capsys):
+    store = tmp_path / "store"
+    assert main(["figure", fig_id, "--checkpoint", str(store)]) == 2
+    assert "not checkpointable" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_figure_fig19_command(capsys):
@@ -151,7 +168,7 @@ def test_streaming_degrade_checkpoint_resume(tmp_path, capsys):
 
 def test_streaming_degrade_excludes_recovery(capsys):
     assert main(["streaming", "--degrade", "--recovery"]) == 2
-    assert "either" in capsys.readouterr().err.lower() or True
+    assert "mutually exclusive" in capsys.readouterr().err
 
 
 def test_figure_fig22_command(capsys):
