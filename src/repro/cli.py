@@ -394,9 +394,13 @@ def cmd_serve(args) -> int:
     from .serve import AdvisorService
     store = None
     if args.cache:
-        store = CheckpointStore(
-            args.cache, {"campaign": "serve-cache", "version": 1},
-            resume=True, on_corrupt="quarantine")
+        try:
+            store = CheckpointStore(
+                args.cache, {"campaign": "serve-cache", "version": 1},
+                resume=True, on_corrupt="quarantine")
+        except CheckpointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if store.quarantined_keys:
             print(f"cache journal: quarantined "
                   f"{len(store.quarantined_keys)} corrupt record(s)",
@@ -634,31 +638,6 @@ def cmd_validate(args) -> int:
         replay.SCENARIOS[name].run(args.seed, True)
         print(f"  {name}: invariants ok")
     print(f"validated {len(names)} scenario(s), zero invariant violations")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .harness.bench import compare_reports, run_bench, write_report
-    if args.compare:
-        import json as _json
-        path_a, path_b = args.compare
-        try:
-            with open(path_a, encoding="utf-8") as fh:
-                payload_a = _json.load(fh)
-            with open(path_b, encoding="utf-8") as fh:
-                payload_b = _json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read bench report: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(compare_reports(payload_a, payload_b))
-        return 0
-    report = run_bench(quick=args.quick, jobs=args.jobs, seed=args.seed,
-                       label=args.label, echo=print)
-    print(f"{'TOTAL':20s} {report.total_wall_seconds:8.3f}s "
-          f"(jobs={report.jobs})")
-    path = write_report(report, path=args.out)
-    print(f"report written to {path}")
     return 0
 
 
@@ -946,21 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the golden digest file")
     p_val.add_argument("--seed", type=int, default=0)
 
-    p_bench = sub.add_parser(
-        "bench", parents=[jobs],
-        help="time the pinned perf suite, write BENCH_<date>.json")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="shrunken cases (CI smoke)")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--label", default="",
-                         help="label recorded in the report")
-    p_bench.add_argument("--compare", nargs=2, default=None,
-                         metavar=("BENCH_A", "BENCH_B"),
-                         help="compare two existing BENCH_*.json reports "
-                              "(A = baseline) and print per-case "
-                              "speedup/regression instead of running")
-    p_bench.add_argument("--out", default=None,
-                         help="report path (default BENCH_<date>.json)")
     return parser
 
 
@@ -974,8 +938,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "faults": cmd_faults, "trace": cmd_trace,
                 "resilience": cmd_resilience, "streaming": cmd_streaming,
                 "tenancy": cmd_tenancy, "serve": cmd_serve,
-                "plan": cmd_plan,
-                "validate": cmd_validate, "bench": cmd_bench}
+                "plan": cmd_plan, "validate": cmd_validate}
     try:
         return handlers[args.command](args)
     except KeyboardInterrupt:

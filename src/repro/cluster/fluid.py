@@ -19,8 +19,8 @@ currently allocated) and its *utilisation* (allocated / bandwidth, in
 percent) — these become the "Disk util %", "I/O MiB/s" and
 "Network MiB/s" panels of the paper's resource figures.  Tracing is
 controlled by the scheduler's ``trace_detail``: ``"full"`` records every
-rate change, ``"coarse"`` only busy/idle transitions, ``"off"`` nothing
-— sweeps that need only durations skip the trace cost entirely.
+rate change, ``"off"`` nothing — sweeps that need only durations skip
+the trace cost entirely.
 
 Scale: reallocations are *batched*.  Callers that change many flows at
 one instant (a node starting all the transfers of a chunk, a wakeup
@@ -49,8 +49,8 @@ __all__ = ["Capacity", "Flow", "FluidScheduler", "TRACE_DETAIL_MODES"]
 
 _EPS = 1e-12
 
-#: Valid ``trace_detail`` settings, in decreasing order of fidelity.
-TRACE_DETAIL_MODES = ("full", "coarse", "off")
+#: Valid ``trace_detail`` settings.
+TRACE_DETAIL_MODES = ("full", "off")
 
 #: Minimum number of single-flow components in one batch before the
 #: numpy solve pays for its gather/scatter; below it the scalar loop is
@@ -191,16 +191,6 @@ class Capacity:
             times.append(now)
             values.append(util)
 
-    def _record_coarse(self, now: float, rate: Optional[float] = None) -> None:
-        """Trace only busy/idle transitions (``trace_detail="coarse"``)."""
-        if rate is None:
-            rate = sum([f.rate for f in self.flows])
-        self.last_rate = rate
-        if (rate > 0.0) != (self.throughput.last_value > 0.0):
-            self.throughput.append(now, rate)
-            self.utilisation.append(
-                now, min(100.0, 100.0 * rate / self.bandwidth))
-
     def __repr__(self) -> str:
         return f"Capacity({self.name!r}, bw={self.bandwidth:.3g}, flows={len(self.flows)})"
 
@@ -291,41 +281,21 @@ class FluidScheduler:
     wakeup handler) resolve all affected components once and solve the
     single-flow ones together — via one numpy pass for large batches —
     with bit-identical results.
-
-    ``fast_forward`` (opt-in, default off) trades exactness for speed:
-    when set to a relative tolerance ``tol``, a wakeup also *absorbs*
-    flow completions due within ``tol * max(now, 1)`` seconds — but
-    never past the next independently scheduled kernel event — and
-    delivers them at the current instant.  Each absorbed completion
-    lands at most ``tol * max(now, 1)`` seconds early; early barriers
-    compound along the critical path, so a run with ``k`` absorbed
-    completions on its critical path can finish up to a factor
-    ``1 - (1 - tol)^k`` early (see docs/performance.md for measured
-    drifts).  With ``fast_forward=None`` the scheduler is bit-identical
-    to the exact implementation.
     """
 
-    def __init__(self, sim: Simulation, trace_detail: str = "full",
-                 fast_forward: Optional[float] = None) -> None:
+    def __init__(self, sim: Simulation, trace_detail: str = "full") -> None:
         if trace_detail not in TRACE_DETAIL_MODES:
             raise ValueError(
                 f"trace_detail must be one of {TRACE_DETAIL_MODES}, "
                 f"got {trace_detail!r}")
-        if fast_forward is not None and not 0.0 < fast_forward < 1.0:
-            raise ValueError(
-                f"fast_forward must be None or in (0, 1), got {fast_forward}")
         self.sim = sim
         self.trace_detail = trace_detail
-        self.fast_forward = fast_forward
         self._flows: Set[Flow] = set()
         self._finish_heap: List = []  # (finish_time, flow_id, flow, rate_stamp)
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
         self.completed_count = 0
         self.aborted_count = 0
-        #: Completions delivered early by the fast-forward mode (0 when
-        #: the mode is off — i.e. whenever bit-exactness is required).
-        self.fast_forwarded_count = 0
         self.total_bytes_moved = 0.0
         #: Completed bytes per capacity name (conservation ledger).
         self.bytes_by_capacity: Dict[str, float] = {}
@@ -565,11 +535,8 @@ class FluidScheduler:
         flow.comp = None
 
     def _record_cap(self, cap: Capacity, now: float) -> None:
-        detail = self.trace_detail
-        if detail == "full":
+        if self.trace_detail == "full":
             cap._record(now)
-        elif detail == "coarse":
-            cap._record_coarse(now)
 
     def _reallocate_component(self, seed: Flow,
                               component: Optional[Set[Flow]] = None) -> None:
@@ -596,16 +563,11 @@ class FluidScheduler:
             if self.checker is not None:
                 self.checker.check_max_min(self, component)
             self._update_finish(component, now)
-            detail = self.trace_detail
-            rate = flow.rate
-            if detail == "full":
+            if self.trace_detail == "full":
+                rate = flow.rate
                 for cap in flow.capacities:
                     if rate != cap.last_rate:
                         cap._record_rate(now, rate)
-            elif detail == "coarse":
-                for cap in flow.capacities:
-                    if rate != cap.last_rate:
-                        cap._record_coarse(now, rate)
             self._refresh_wakeup()
             return
 
@@ -613,13 +575,9 @@ class FluidScheduler:
         if self.checker is not None:
             self.checker.check_max_min(self, component)
         self._update_finish(component, now)
-        detail = self.trace_detail
-        if detail == "full":
+        if self.trace_detail == "full":
             for cap in touched:
                 cap._record(now)
-        elif detail == "coarse":
-            for cap in touched:
-                cap._record_coarse(now)
         self._refresh_wakeup()
 
     def _reallocate_many(self, seeds: Sequence[Flow],
@@ -665,9 +623,7 @@ class FluidScheduler:
                 multis.append(component)
                 force.update(seed.capacities)
         checker = self.checker
-        detail = self.trace_detail
-        full = detail == "full"
-        coarse = detail == "coarse"
+        full = self.trace_detail == "full"
         if singles:
             heap = self._finish_heap
             inf = math.inf
@@ -724,10 +680,6 @@ class FluidScheduler:
                     for cap in flow.capacities:
                         if rate != cap.last_rate:
                             cap._record_rate(now, rate)
-                elif coarse:
-                    for cap in flow.capacities:
-                        if rate != cap.last_rate:
-                            cap._record_coarse(now, rate)
         for component in multis:
             touched = self._solve_multi(component, now, force)
             if checker is not None:
@@ -736,9 +688,6 @@ class FluidScheduler:
             if full:
                 for cap in touched:
                     cap._record(now)
-            elif coarse:
-                for cap in touched:
-                    cap._record_coarse(now)
         if refresh:
             self._refresh_wakeup()
 
@@ -1104,18 +1053,6 @@ class FluidScheduler:
         flows = self._flows
         finished: List[Flow] = []
         cutoff = now + 1e-9
-        ff = self.fast_forward
-        if ff is not None:
-            # Fast-forward: also absorb completions due within the
-            # relative tolerance, but never past the next independently
-            # scheduled kernel event (nothing else can observe the
-            # intermediate rates before it fires).
-            horizon = now + ff * (now if now > 1.0 else 1.0)
-            nxt = self.sim.peek()
-            if nxt < horizon:
-                horizon = nxt
-            if horizon > cutoff:
-                cutoff = horizon
         pop = heapq.heappop
         while heap:
             entry = heap[0]
@@ -1135,14 +1072,7 @@ class FluidScheduler:
         for flow in finished:
             dt = now - flow.last_update
             rem = flow.remaining - flow.rate * dt
-            rem = rem if rem > 0.0 else 0.0
-            if ff is not None and rem > 0.0:
-                # Absorbed early by fast-forward: the residual bytes are
-                # accounted as moved (the ledger uses flow.size); only
-                # the completion timestamp is approximate.
-                rem = 0.0
-                self.fast_forwarded_count += 1
-            flow.remaining = rem
+            flow.remaining = rem if rem > 0.0 else 0.0
             flow.last_update = now
             flows.discard(flow)
             # _drop_from_component, inlined (hot path).
@@ -1169,15 +1099,10 @@ class FluidScheduler:
         # _refresh_wakeup below covers the batch's heap updates).
         if neighbours:
             self._reallocate_many(neighbours, refresh=False)
-        detail = self.trace_detail
-        if detail == "full":
+        if self.trace_detail == "full":
             for cap in released:
                 if cap.last_rate != 0 and not cap.flows:
                     cap._record_rate(now, 0)
-        elif detail == "coarse":
-            for cap in released:
-                if cap.last_rate != 0 and not cap.flows:
-                    cap._record_coarse(now, 0)
         # Deliver completions after rates are consistent.
         hook = self.flow_hook
         if hook is not None:

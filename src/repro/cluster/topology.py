@@ -33,13 +33,11 @@ class Cluster:
 
     def __init__(self, num_nodes: int,
                  spec: HardwareSpec = GRID5000_PARAVANCE,
-                 seed: int = 0, trace_detail: str = "full",
-                 fast_forward: Optional[float] = None) -> None:
+                 seed: int = 0, trace_detail: str = "full") -> None:
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         self.sim = Simulation()
-        self.fluid = FluidScheduler(self.sim, trace_detail=trace_detail,
-                                    fast_forward=fast_forward)
+        self.fluid = FluidScheduler(self.sim, trace_detail=trace_detail)
         self.spec = spec
         self.nodes: List[Node] = [Node(self.sim, i, spec) for i in range(num_nodes)]
         self.seed = seed

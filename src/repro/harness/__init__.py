@@ -1,18 +1,15 @@
 """Experiment lifecycle and figure/table regeneration."""
 
 from . import figures
-from .bench import BenchCase, BenchReport, run_bench
 from .checkpoint import CheckpointError, CheckpointStore
-from .parallel import (TaskFailure, WorkerCrashError, parallel_map,
-                       resolve_jobs, robust_map)
+from .parallel import TaskFailure, parallel_map, resolve_jobs, robust_map
 from .runner import (Deployment, TrialStats, run_correlated, run_once,
                      run_trials)
 from .faults import FaultRecoveryResult, run_with_failure
 from .sweep import best_row, sweep, sweep_rows_to_csv
 
-__all__ = ["BenchCase", "BenchReport", "CheckpointError",
-           "CheckpointStore", "Deployment", "FaultRecoveryResult",
-           "TaskFailure", "TrialStats", "WorkerCrashError", "best_row",
+__all__ = ["CheckpointError", "CheckpointStore", "Deployment",
+           "FaultRecoveryResult", "TaskFailure", "TrialStats", "best_row",
            "figures", "parallel_map", "resolve_jobs", "robust_map",
-           "run_bench", "run_correlated", "run_once", "run_trials",
-           "run_with_failure", "sweep", "sweep_rows_to_csv"]
+           "run_correlated", "run_once", "run_trials", "run_with_failure",
+           "sweep", "sweep_rows_to_csv"]

@@ -96,6 +96,15 @@ class CheckpointStore:
         self._records: Dict[str, Any] = {}
         self._truncated_tail = False
         self.quarantined_keys: List[str] = []
+        try:
+            self._open(resume)
+        except OSError as err:
+            # A path that is a file, a missing permission, a full disk:
+            # the store cannot be used, and the message says why.
+            raise CheckpointError(
+                f"cannot open checkpoint store {self.root}: {err}") from err
+
+    def _open(self, resume: bool) -> None:
         manifest = self.root / MANIFEST_NAME
         if manifest.exists():
             if not resume:
@@ -124,9 +133,12 @@ class CheckpointStore:
     def _open_existing(self, manifest: Path) -> None:
         try:
             meta = json.loads(manifest.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not UTF-8, or not JSON
             raise CheckpointError(
                 f"unreadable manifest {manifest}: {err}") from err
+        if not isinstance(meta, dict):
+            raise CheckpointError(
+                f"unreadable manifest {manifest}: not a JSON object")
         recorded = meta.get("fingerprint")
         if recorded != self.fingerprint_digest:
             raise CheckpointError(
@@ -137,7 +149,9 @@ class CheckpointStore:
         journal = self.root / JOURNAL_NAME
         if not journal.exists():
             return
-        with open(journal, "r", encoding="utf-8") as fh:
+        # Undecodable bytes become U+FFFD, so the line fails its JSON
+        # parse or its checksum and meets the on_corrupt policy.
+        with open(journal, "r", encoding="utf-8", errors="replace") as fh:
             lines = fh.read().split("\n")
         for lineno, line in enumerate(lines):
             if not line:
@@ -155,7 +169,7 @@ class CheckpointStore:
                     why="not JSON (not the trailing line, so not crash "
                         "truncation)")
                 continue
-            key = record.get("key")
+            key = record.get("key") if isinstance(record, dict) else None
             if not isinstance(key, str) or "payload" not in record:
                 self._reject_corrupt(journal, lineno, line, key=None,
                                      why="missing key/payload fields")

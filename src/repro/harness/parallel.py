@@ -12,23 +12,19 @@ figure is bit-identical to the serial one.
 ``jobs`` resolution order: explicit argument, then the ``REPRO_JOBS``
 environment variable, then 1 (serial).  ``jobs=0`` (argument or
 environment) means "use every core" (``os.cpu_count()``).  ``jobs=1``
-short-circuits to a plain in-process loop — no executor, no pickling —
+short-circuits to a plain in-process loop — no workers, no pickling —
 so the default path is byte-for-byte the historical behaviour.
 
-Two entry points share this contract:
-
-* :func:`parallel_map` — fail-fast: the first failing task raises, with
-  the failing task's identity (index and arguments) attached to the
-  exception.  A worker process that dies without reporting (segfault,
-  ``os._exit``, OOM kill) surfaces as :class:`WorkerCrashError` rather
-  than a hung or half-filled result list.
-* :func:`robust_map` — graceful degradation for long campaigns: a task
-  that raises, crashes its worker or exceeds a per-task timeout fails
-  *that task only* (recorded as a :class:`TaskFailure` with full task
-  identity, optionally retried with exponential backoff); every other
-  task still completes and the results keep their task-order slots.
-  Campaigns reach it through :func:`~repro.harness.campaign.
-  run_campaign`, which adds checkpoint journaling and resume.
+There is one fan-out, :func:`robust_map`: a task that raises, crashes
+its worker or exceeds a per-task timeout fails *that task only*
+(recorded as a :class:`TaskFailure` with full task identity, optionally
+retried with exponential backoff); every other task still completes and
+the results keep their task-order slots.  Campaigns reach it through
+:func:`~repro.harness.campaign.run_campaign`, which adds checkpoint
+journaling and resume.  :func:`parallel_map` is the all-or-nothing
+form for callers that want a plain list: at ``jobs >= 2`` it runs on
+:func:`robust_map` and raises a ``RuntimeError`` naming the lowest
+failed task once the others have finished.
 
 :func:`robust_map` and the service's
 :class:`~repro.serve.pool.AsyncWorkerPool` share one kind of worker: a
@@ -51,10 +47,10 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-__all__ = ["ENV_JOBS", "WorkerCrashError", "TaskFailure", "parallel_map",
-           "robust_map", "resolve_jobs"]
+__all__ = ["ENV_JOBS", "TaskFailure", "parallel_map", "robust_map",
+           "resolve_jobs"]
 
 #: Environment variable consulted when no explicit job count is given.
 ENV_JOBS = "REPRO_JOBS"
@@ -63,23 +59,6 @@ ENV_JOBS = "REPRO_JOBS"
 #: only bounds how quickly timeouts/crashes are *noticed*, never what
 #: any task computes.
 _POLL_SECONDS = 0.05
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker process died without delivering its result.
-
-    ``task_index``/``task_args`` identify the first task that cannot
-    have completed (best effort: a broken pool loses the precise
-    attribution, so ``candidate_indices`` lists every task in flight).
-    """
-
-    def __init__(self, message: str, task_index: Optional[int] = None,
-                 task_args: Optional[str] = None,
-                 candidate_indices: Optional[List[int]] = None) -> None:
-        super().__init__(message)
-        self.task_index = task_index
-        self.task_args = task_args
-        self.candidate_indices = candidate_indices or []
 
 
 @dataclass(frozen=True)
@@ -129,21 +108,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _ignore_sigint() -> None:
-    """Worker initializer: leave Ctrl-C to the coordinator.
-
-    A terminal SIGINT goes to the whole foreground process group, so
-    without this every worker would print its own ``KeyboardInterrupt``
-    traceback on top of the coordinator's message.  Workers ignore the
-    signal; the coordinator notices the interrupt, terminates them and
-    reports once.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-
-
 def _args_repr(args: Tuple, limit: int = 200) -> str:
     try:
         text = repr(tuple(args))
@@ -191,58 +155,25 @@ def parallel_map(fn: Callable, tasks: Sequence[Tuple],
     """Apply ``fn`` to argument tuples, returning results in task order.
 
     With ``jobs <= 1`` (or fewer than two tasks) this is literally
-    ``[fn(*t) for t in tasks]``.  Otherwise tasks are submitted to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` and the futures are
-    drained in submission order, so result ordering never depends on
-    worker scheduling.  ``fn`` must be a module-level (picklable)
-    function and the argument tuples and results picklable values.
+    ``[fn(*t) for t in tasks]``, in process: ``fn`` may be a closure,
+    and a failing task raises its original exception type with the
+    task's index and arguments added to the message.
 
-    Exceptions raised *inside* a worker propagate with their original
-    type and the failing task's index/arguments appended to the message
-    (matching serial behaviour); a worker that dies outright raises
-    :class:`WorkerCrashError` carrying the same identity.
+    Otherwise the tasks run on :func:`robust_map`'s warm workers (no
+    timeout, no retries), so ``fn`` must be a module-level function and
+    the arguments and results must pickle.  If any task raised or
+    crashed its worker, a ``RuntimeError`` carrying the lowest failed
+    task's :meth:`TaskFailure.describe` is raised once the others have
+    finished.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
         return [_call_identified(fn, i, t) for i, t in enumerate(tasks)]
-    workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_ignore_sigint) as pool:
-        futures = [pool.submit(_call_identified, fn, i, t)
-                   for i, t in enumerate(tasks)]
-        results = []
-        for i, f in enumerate(futures):
-            try:
-                result = f.result()
-            except KeyboardInterrupt:
-                # Drain fast: cancel queued tasks, kill the workers (they
-                # ignore SIGINT) and let the caller report once.
-                for fut in futures:
-                    fut.cancel()
-                for proc in getattr(pool, "_processes", {}).values():
-                    proc.terminate()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            except BrokenProcessPool as err:
-                candidates = [
-                    j for j, fut in enumerate(futures)
-                    if not fut.done() or (fut.cancelled() or isinstance(
-                        fut.exception(), BrokenProcessPool))]
-                first = candidates[0] if candidates else i
-                raise WorkerCrashError(
-                    f"a worker process crashed while running "
-                    f"{_fn_name(fn)!r} ({len(tasks)} tasks, {workers} "
-                    f"workers); first unfinished task #{first}: "
-                    f"{_fn_name(fn)}{_args_repr(tasks[first])} "
-                    f"({len(candidates)} task(s) in doubt)",
-                    task_index=first, task_args=_args_repr(tasks[first]),
-                    candidate_indices=candidates) from err
-            results.append(result)
-        return results
+    results, failures = robust_map(fn, tasks, jobs=jobs)
+    if failures:
+        raise RuntimeError(failures[0].describe())
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +189,10 @@ def _worker_loop(conn, parent_end) -> None:
     here the same way, so no worker outlives it.
     """
     parent_end.close()  # the fork copied it; holding it would hide EOF
-    _ignore_sigint()
+    # A terminal Ctrl-C goes to the whole foreground process group:
+    # leave it to the coordinator, which kills the workers and reports
+    # once instead of one traceback per worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Forked from the asyncio service, a worker inherits the loop's
     # SIGTERM handler and signal wakeup fd: a SIGTERM would then wake
     # the service's loop instead of ending the worker.
@@ -441,7 +375,7 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
                     # Closed without a report: the worker died.
                     run.worker.stop()
                     _fail_or_retry(
-                        run, "crash", "WorkerCrashError",
+                        run, "crash", "TaskCrashed",
                         f"worker exited with code "
                         f"{run.worker.proc.exitcode} before reporting "
                         f"a result")

@@ -90,8 +90,7 @@ def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
              seed: int = 0, keep_deployment: bool = False,
              strict: Optional[bool] = None,
              trace_detail: str = "full",
-             tracer: Optional[SpanTracer] = None,
-             fast_forward: Optional[float] = None) -> EngineRunResult:
+             tracer: Optional[SpanTracer] = None) -> EngineRunResult:
     """Deploy, import the dataset, run every job of the workload.
 
     ``strict`` attaches an :class:`~repro.validation.InvariantChecker`
@@ -114,23 +113,11 @@ def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
     ``trace_detail="full"`` because attribution integrates the
     capacity traces.  On a *failed* run the span stack is left as the
     failure found it; use :func:`run_traced` for a checked entry point.
-
-    ``fast_forward`` (opt-in, default off) enables the fluid
-    scheduler's calibrated fast-forward mode at the given relative
-    tolerance (see :class:`~repro.cluster.fluid.FluidScheduler`):
-    completions land at most ``tol * now`` early, compounding along
-    the critical path, while wakeup churn drops.
-    It is rejected in strict mode — absorbed completions break the
-    exact byte-conservation audit by construction.
     """
     checker = InvariantChecker() if strict_enabled(strict) else None
-    if fast_forward is not None and checker is not None:
-        raise ValueError("fast_forward is an approximation and cannot be "
-                         "combined with strict invariant checking")
     if checker is not None or tracer is not None:
         trace_detail = "full"
-    cluster = Cluster(config.nodes, seed=seed, trace_detail=trace_detail,
-                      fast_forward=fast_forward)
+    cluster = Cluster(config.nodes, seed=seed, trace_detail=trace_detail)
     if checker is not None:
         checker.attach(cluster)
     if tracer is not None:

@@ -913,8 +913,8 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
                   restart_delay: float = 2.0,
                   restart_strategy=None, shedding=None,
                   batch_policy=None,
-                  strict: Optional[bool] = None, tracer=None,
-                  trace_detail: str = "coarse") -> StreamingRunResult:
+                  strict: Optional[bool] = None,
+                  tracer=None) -> StreamingRunResult:
     """Execute one streaming run on the fluid kernel.
 
     ``arrivals`` is either a compiled :class:`~repro.streaming.
@@ -969,8 +969,7 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
     else:
         plan = arrivals.compile(seed, duration)
 
-    cluster = Cluster(nodes, spec=spec, seed=seed,
-                      trace_detail=trace_detail)
+    cluster = Cluster(nodes, spec=spec, seed=seed)
     cluster.tracer = tracer
     checker = None
     if strict_enabled(strict):

@@ -3,7 +3,7 @@
 The kernel optimisations (cached connected components, lazy finish
 heap, trace gating) must never change *simulated* results — only how
 much work it takes to produce them.  These tests pin the observable
-contracts: durations are identical across every ``trace_detail`` mode,
+contracts: durations are identical in both ``trace_detail`` modes,
 ``"full"`` traces integrate to the bytes moved, ``"off"`` records
 nothing, and the component cache stays consistent through merges,
 splits and aborts.
@@ -37,9 +37,7 @@ def run_workload(trace_detail):
 
 
 def test_trace_detail_does_not_change_simulation():
-    baseline, *_ = run_workload("full")
-    for mode in ("coarse", "off"):
-        assert run_workload(mode)[0] == baseline
+    assert run_workload("off")[0] == run_workload("full")[0]
 
 
 def test_trace_detail_off_records_nothing():
@@ -47,15 +45,6 @@ def test_trace_detail_off_records_nothing():
     for cap in (disk, nic):
         assert len(cap.throughput) == 0
         assert len(cap.utilisation) == 0
-
-
-def test_trace_detail_coarse_tracks_busy_idle_only():
-    _, disk, _, _ = run_workload("coarse")
-    full_disk = run_workload("full")[1]
-    # Coarse keeps the busy/idle envelope with fewer points.
-    assert 0 < len(disk.throughput) < len(full_disk.throughput)
-    values = disk.throughput.values
-    assert values[0] > 0.0 and values[-1] == 0.0
 
 
 def test_full_trace_integral_conserves_bytes():
@@ -69,7 +58,7 @@ def test_full_trace_integral_conserves_bytes():
 def test_invalid_trace_detail_rejected():
     with pytest.raises(ValueError):
         FluidScheduler(Simulation(), trace_detail="verbose")
-    assert TRACE_DETAIL_MODES == ("full", "coarse", "off")
+    assert TRACE_DETAIL_MODES == ("full", "off")
 
 
 # ----------------------------------------------------------------------

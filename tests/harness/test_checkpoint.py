@@ -161,6 +161,47 @@ def test_on_corrupt_rejects_unknown_modes(tmp_path):
         CheckpointStore(tmp_path / "s", "fp", on_corrupt="ignore")
 
 
+def test_store_path_that_is_a_file_is_a_checkpoint_error(tmp_path):
+    (tmp_path / "f").write_text("not a directory")
+    for root in (tmp_path / "f", tmp_path / "f" / "sub"):
+        with pytest.raises(CheckpointError, match="Not a directory"):
+            CheckpointStore(root, "fp")
+
+
+def test_non_utf8_manifest_is_a_checkpoint_error(tmp_path):
+    CheckpointStore(tmp_path / "s", "fp").close()
+    (tmp_path / "s" / "manifest.json").write_bytes(b'{"fingerprint": "\xff"}')
+    with pytest.raises(CheckpointError, match="unreadable manifest"):
+        CheckpointStore(tmp_path / "s", "fp", resume=True)
+
+
+@pytest.mark.parametrize("text", ["[]", "null"])
+def test_non_object_manifest_is_a_checkpoint_error(tmp_path, text):
+    CheckpointStore(tmp_path / "s", "fp").close()
+    (tmp_path / "s" / "manifest.json").write_text(text)
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        CheckpointStore(tmp_path / "s", "fp", resume=True)
+
+
+@pytest.mark.parametrize("bad", [b"[1, 2]", b'"a\xffc"'])
+def test_malformed_journal_lines_meet_the_corrupt_policy(tmp_path, bad):
+    # A JSON line that is not an object, or a record with bytes that
+    # are not UTF-8, is corruption like any other interior line.
+    with CheckpointStore(tmp_path / "s", "fp") as store:
+        store.save("a", "abc")
+        store.save("b", 2)
+    journal = tmp_path / "s" / "journal.jsonl"
+    first, rest = journal.read_bytes().split(b"\n", 1)
+    first = (bad if bad.startswith(b"[") else
+             first.replace(b'"abc"', bad))
+    journal.write_bytes(first + b"\n" + rest)
+    with pytest.raises(CheckpointError, match="corrupt journal"):
+        CheckpointStore(tmp_path / "s", "fp", resume=True)
+    with CheckpointStore(tmp_path / "s", "fp", resume=True,
+                         on_corrupt="quarantine") as store:
+        assert list(store.keys()) == ["b"]
+
+
 # ----------------------------------------------------------------------
 # resume identity: sweep / figure / resilience
 # ----------------------------------------------------------------------

@@ -17,8 +17,7 @@ import pytest
 
 from repro.config.presets import wordcount_grep_preset
 from repro.harness import figures
-from repro.harness.parallel import (ENV_JOBS, TaskFailure,
-                                    WorkerCrashError, _Worker,
+from repro.harness.parallel import (ENV_JOBS, TaskFailure, _Worker,
                                     parallel_map, resolve_jobs, robust_map)
 from repro.harness.sweep import sweep
 from repro.resilience import default_workloads
@@ -66,10 +65,6 @@ def _square(x):
     return x * x
 
 
-def _raise_value_error(msg):
-    raise ValueError(msg)
-
-
 def _die(_x):
     os._exit(1)
 
@@ -92,34 +87,46 @@ def test_parallel_map_single_task_stays_serial():
     assert parallel_map(lambda x: x + 1, [(41,)], jobs=8) == [42]
 
 
-def test_worker_exception_propagates_with_type():
-    with pytest.raises(ValueError, match="boom"):
-        parallel_map(_raise_value_error, [("boom",), ("boom",)], jobs=2)
+def test_parallel_map_serial_failure_keeps_its_type_and_names_the_task():
+    # In process, the original exception type survives and the message
+    # names the failing task: index, function and arguments.
+    with pytest.raises(ValueError) as info:
+        parallel_map(_flaky, [(1,), (13,)], jobs=1)
+    assert "task #1" in str(info.value)
+    assert "_flaky" in str(info.value) and "13" in str(info.value)
 
 
-def test_worker_exception_carries_task_identity():
-    # The re-raised exception names the failing task — index, function
-    # and arguments — both serially and across process boundaries.
-    for jobs in (1, 2):
-        with pytest.raises(ValueError) as info:
-            parallel_map(_flaky, [(1,), (13,)], jobs=jobs)
-        assert "task #1" in str(info.value)
-        assert "_flaky" in str(info.value)
-        assert "13" in str(info.value)
+def _mark_unless(mode, marker):
+    """Raise, crash the worker, or record that this task finished."""
+    if mode == "raise":
+        raise ValueError("unlucky")
+    if mode == "crash":
+        os._exit(1)
+    with open(marker, "w") as fh:
+        fh.write("done")
+    return marker
 
 
-def test_worker_crash_raises_worker_crash_error():
-    with pytest.raises(WorkerCrashError):
-        parallel_map(_die, [(1,), (2,)], jobs=2)
-
-
-def test_worker_crash_error_names_candidate_tasks():
-    with pytest.raises(WorkerCrashError) as info:
-        parallel_map(_die, [(1,), (2,)], jobs=2)
-    err = info.value
-    assert err.task_index in (0, 1)
-    assert "_die" in str(err)
-    assert err.candidate_indices  # the unfinished tasks are listed
+@pytest.mark.parametrize("mode, kind, error_type", [
+    ("raise", "exception", "ValueError: unlucky"),
+    ("crash", "crash", "TaskCrashed"),
+], ids=["raise", "crash"])
+def test_parallel_map_failure_is_a_runtime_error_after_the_rest_finish(
+        mode, kind, error_type, tmp_path):
+    before = _child_pids()
+    tasks = [("ok", str(tmp_path / f"{i}")) for i in range(6)]
+    for i in (1, 4):
+        tasks[i] = (mode, str(tmp_path / f"{i}"))
+    with pytest.raises(RuntimeError) as info:
+        parallel_map(_mark_unless, tasks, jobs=2)
+    # The lowest failed task, named like TaskFailure.describe().
+    assert type(info.value) is RuntimeError
+    text = str(info.value)
+    assert text.startswith(f"task #1 _mark_unless{tasks[1]!r}: {kind} "), text
+    assert error_type in text
+    # Every other task still ran to completion, and no worker is left.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "2", "3", "5"]
+    assert _child_pids() - before == set()
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,21 @@ def test_resilience_resume_requires_checkpoint(capsys):
         main(["resilience", "--resume"])
 
 
+@pytest.mark.parametrize("cache", ["stray-dir", "regular-file"])
+def test_serve_cache_that_cannot_open_is_a_one_line_error(cache, tmp_path,
+                                                         capsys):
+    path = tmp_path / "cache"
+    if cache == "stray-dir":
+        path.mkdir()
+        (path / "stray.txt").write_text("not a store")
+    else:
+        path.write_text("not a directory")
+    # The store is opened before the service binds its port.
+    assert main(["serve", "--port", "0", "--cache", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("fig_id", ["fig03", "fig18"])
 def test_uncheckpointable_figures_refuse_checkpoint(fig_id, tmp_path,
                                                     capsys):
@@ -197,7 +212,14 @@ def _children_of(pid):
     return kids
 
 
-def test_sigint_to_campaign_is_one_line_not_traceback_spew(tmp_path):
+@pytest.mark.parametrize("argv", [
+    # run_campaign's journaled fan-out
+    ["resilience", "--jobs", "2", "--workloads", "wordcount", "--trials",
+     "2", "--rates", "0.0", "0.5", "1.0", "2.0"],
+    # parallel_map's all-or-nothing fan-out
+    ["table7", "--nodes", "97", "--jobs", "2"],
+], ids=["resilience", "table7"])
+def test_sigint_to_campaign_is_one_line_not_traceback_spew(argv, tmp_path):
     """A Ctrl-C mid-campaign must terminate the workers, print one
     short message, and exit 130 — no multiprocess traceback storm."""
     import os
@@ -211,9 +233,7 @@ def test_sigint_to_campaign_is_one_line_not_traceback_spew(tmp_path):
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "resilience", "--jobs", "2",
-         "--workloads", "wordcount", "--trials", "2",
-         "--rates", "0.0", "0.5", "1.0", "2.0"],
+        [sys.executable, "-m", "repro", *argv],
         cwd=str(tmp_path), env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
@@ -236,8 +256,9 @@ def test_sigint_to_campaign_is_one_line_not_traceback_spew(tmp_path):
             proc.communicate()
 
     assert proc.returncode == 130, (out, err)
-    assert "interrupted" in err
-    assert "Traceback" not in err and "Traceback" not in out, (out, err)
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].startswith("interrupted:"), err
+    assert "Traceback" not in out, out
     # The workers were terminated with the coordinator: no orphans.
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline and _children_of(proc.pid):
