@@ -68,10 +68,11 @@ figures and fig19-fig23) are checkpointable.  Each runs through
 closes the ``--checkpoint`` store and reports gaps in one place
 (:func:`_campaign`).  The store's fingerprint is every parsed argument
 except the ones that only choose how a campaign runs (``--jobs``,
-``--timeout``, ``--retries``, ``--task-backoff``, ``--checkpoint``,
-``--resume``, ``--strict``), so a resume with different arguments
-exits 2 with ``error: ...`` instead of mixing campaigns.  Flags shared
-between subcommands are declared once, as parent parsers.
+``--timeout``, ``--retries``, ``--checkpoint``, ``--resume``,
+``--strict``), so a resume with different arguments exits 2 with
+``error: ...`` instead of mixing campaigns.  Flags shared between
+subcommands are declared once, as parent parsers, and an out-of-range
+value is a usage error (exit 2).
 
 Examples
 --------
@@ -98,7 +99,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .cluster import Cluster
 from .config.presets import (ExperimentConfig, kmeans_preset,
@@ -199,8 +200,8 @@ def build_workload(name: str, nodes: int, graph: str = "small",
 #: Parsed arguments that choose how a campaign runs, never what it
 #: computes.  The checkpoint fingerprint leaves them out, so a campaign
 #: resumes under another --jobs, --strict or retry policy.
-_RUN_ONLY = frozenset({"jobs", "timeout", "retries", "task_backoff",
-                       "checkpoint", "resume", "strict"})
+_RUN_ONLY = frozenset({"jobs", "timeout", "retries", "checkpoint",
+                       "resume", "strict"})
 
 
 def _fingerprint(args) -> Dict[str, object]:
@@ -334,7 +335,7 @@ def cmd_resilience(args) -> int:
         trials=args.trials, nodes=args.nodes, seed=args.seed,
         stragglers=args.stragglers, strict=args.strict or None,
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        backoff=args.task_backoff, checkpoint=store))
+        checkpoint=store))
 
 
 def cmd_streaming(args) -> int:
@@ -353,7 +354,7 @@ def cmd_streaming(args) -> int:
             batch_interval=args.batch_interval,
             strict=args.strict or None, jobs=args.jobs,
             timeout=args.timeout, retries=args.retries,
-            backoff=args.task_backoff, checkpoint=store))
+            checkpoint=store))
     if args.recovery:
         shape = dict(figure_id="fig21", arrival_kinds=("poisson",),
                      load_fractions=(args.load,),
@@ -366,8 +367,7 @@ def cmd_streaming(args) -> int:
         engines=args.engines, nodes=args.nodes, seed=args.seed,
         duration=args.duration, batch_interval=args.batch_interval,
         strict=args.strict or None, jobs=args.jobs, timeout=args.timeout,
-        retries=args.retries, backoff=args.task_backoff,
-        checkpoint=store, **shape))
+        retries=args.retries, checkpoint=store, **shape))
 
 
 def cmd_tenancy(args) -> int:
@@ -386,7 +386,7 @@ def cmd_tenancy(args) -> int:
         crash_rate=args.crash_rate, templates=default_templates(nodes),
         queues=default_queues(nodes), strict=args.strict or None,
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        backoff=args.task_backoff, checkpoint=store))
+        checkpoint=store))
 
 
 def cmd_serve(args) -> int:
@@ -413,7 +413,6 @@ def cmd_serve(args) -> int:
             default_deadline=args.deadline,
             client_timeout=args.client_timeout,
             task_timeout=args.timeout or 30.0, retries=args.retries,
-            backoff=args.task_backoff,
             breaker_threshold=args.breaker_threshold,
             breaker_reset=args.breaker_reset,
             drain_grace=args.drain_grace, cache_store=store)
@@ -432,7 +431,8 @@ def cmd_serve(args) -> int:
 
 def cmd_plan(args) -> int:
     import json as _json
-    from .serve import CapacityQuery, PlanError, plan_capacity_sync
+    from .serve import (CapacityQuery, PlanError, PoolError,
+                        plan_capacity_sync)
     try:
         query = CapacityQuery(
             workload=args.workload, slo_seconds=args.slo,
@@ -442,9 +442,15 @@ def cmd_plan(args) -> int:
     except PlanError as exc:
         print(f"invalid query: {exc}", file=sys.stderr)
         return 2
-    payload = plan_capacity_sync(
-        query, jobs=args.jobs, timeout=args.timeout,
-        retries=args.retries, backoff=args.task_backoff)
+    try:
+        payload = plan_capacity_sync(query, jobs=args.jobs,
+                                     timeout=args.timeout,
+                                     retries=args.retries)
+    except PoolError as exc:
+        # A worker crashed or timed out past its retries: the service
+        # answers 500, and so does this.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return 0 if payload["answer"]["feasible"] else 1
@@ -641,22 +647,18 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _retry_flags(backoff: float) -> argparse.ArgumentParser:
-    """Parent parser for how failed cells are retried; ``serve`` retries
-    sooner than the batch commands, so the base backoff is a parameter."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--timeout", "--task-timeout", type=float,
-                       default=None, dest="timeout",
-                       help="per-cell wall-clock timeout in seconds "
-                            "(parallel runs only; serve: 30); a timed-out "
-                            "cell becomes a gap, not an abort")
-    flags.add_argument("--retries", "--task-retries", type=int, default=1,
-                       dest="retries", help="retry budget per failed cell")
-    flags.add_argument("--task-backoff", type=float, default=backoff,
-                       dest="task_backoff",
-                       help="base delay before retrying a failed cell; "
-                            "doubles per attempt")
-    return flags
+def _at_least(kind: Callable[[str], Any], low: float,
+              strict: bool = False) -> Callable[[str], Any]:
+    """An argparse ``type``: ``kind(text)``, which must be at least
+    ``low`` (above it when ``strict``)."""
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low:g}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # "invalid int value: ..." on junk
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="audit simulator invariants during the runs; "
                              "campaigns also exit 1 on missing cells")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=None,
+    jobs.add_argument("--jobs", type=_at_least(int, 0), default=None,
                       help="worker processes (default: $REPRO_JOBS or "
                            "serial; serve: 2); results are identical at "
                            "any count")
@@ -684,7 +686,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="resume a killed campaign from "
                                 "--checkpoint DIR (digest-identical to an "
                                 "uninterrupted run)")
-    retried = _retry_flags(backoff=0.5)
+    retried = argparse.ArgumentParser(add_help=False)
+    retried.add_argument("--timeout", "--task-timeout",
+                         type=_at_least(float, 0, strict=True),
+                         default=None, dest="timeout",
+                         help="per-cell wall-clock timeout in seconds "
+                              "(campaigns: parallel runs only; serve: "
+                              "30); a timed-out cell becomes a gap, not "
+                              "an abort")
+    retried.add_argument("--retries", "--task-retries",
+                         type=_at_least(int, 0), default=1, dest="retries",
+                         help="retries of a cell whose worker crashed or "
+                              "timed out; an exception is never retried")
     campaign = [strict, jobs, retried, resumable]
 
     sub.add_parser("list", help="available workloads and figures")
@@ -857,14 +870,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ten.add_argument("--seed", type=int, default=0)
 
     p_srv = sub.add_parser(
-        "serve", parents=[jobs, _retry_flags(backoff=0.05)],
+        "serve", parents=[jobs, retried],
         help="long-running capacity-advisor service (asyncio + "
              "process-isolated workers, circuit breaker, verified "
              "cache, graceful SIGTERM drain); see docs/serving.md")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=7472,
                        help="TCP port (0 picks a free one and prints it)")
-    p_srv.add_argument("--queue-limit", type=int, default=8,
+    p_srv.add_argument("--queue-limit", type=_at_least(int, 1), default=8,
                        dest="queue_limit",
                        help="max concurrent plan requests before "
                             "shedding with 429")
@@ -876,11 +889,13 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="client_timeout",
                        help="seconds a client may take to deliver its "
                             "request before a 408")
-    p_srv.add_argument("--breaker-threshold", type=int, default=5,
+    p_srv.add_argument("--breaker-threshold", type=_at_least(int, 1),
+                       default=5,
                        dest="breaker_threshold",
                        help="consecutive worker failures that trip the "
                             "circuit breaker")
-    p_srv.add_argument("--breaker-reset", type=float, default=0.5,
+    p_srv.add_argument("--breaker-reset",
+                       type=_at_least(float, 0, strict=True), default=0.5,
                        dest="breaker_reset",
                        help="initial open window in seconds (doubles "
                             "per consecutive trip)")

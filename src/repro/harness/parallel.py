@@ -17,8 +17,8 @@ so the default path is byte-for-byte the historical behaviour.
 
 There is one fan-out, :func:`robust_map`: a task that raises, crashes
 its worker or exceeds a per-task timeout fails *that task only*
-(recorded as a :class:`TaskFailure` with full task identity, optionally
-retried with exponential backoff); every other task still completes and
+(recorded as a :class:`TaskFailure` with full task identity, retried
+as :func:`retry_delay` says); every other task still completes and
 the results keep their task-order slots.  Campaigns reach it through
 :func:`~repro.harness.campaign.run_campaign`, which adds checkpoint
 journaling and resume.  :func:`parallel_map` is the all-or-nothing
@@ -36,7 +36,8 @@ or is cancelled SIGKILLs the worker running it; the next attempt gets
 a fresh fork.  Reuse cannot change a result, for the same reason the
 fan-out cannot: no module-level state carries from one task to the
 next (every RNG is a seeded generator, and the global flow-id counter
-only orders flows inside one run).
+only orders flows inside one run).  Both also share one attempt
+policy, :func:`retry_delay`.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-__all__ = ["ENV_JOBS", "TaskFailure", "parallel_map", "robust_map",
-           "resolve_jobs"]
+__all__ = ["ENV_JOBS", "RETRY_BACKOFF", "TaskFailure", "parallel_map",
+           "resolve_jobs", "retry_delay", "robust_map"]
 
 #: Environment variable consulted when no explicit job count is given.
 ENV_JOBS = "REPRO_JOBS"
@@ -59,6 +60,22 @@ ENV_JOBS = "REPRO_JOBS"
 #: only bounds how quickly timeouts/crashes are *noticed*, never what
 #: any task computes.
 _POLL_SECONDS = 0.05
+
+#: Wall-clock seconds before a failed task's first retry; the delay
+#: doubles with every further attempt.
+RETRY_BACKOFF = 0.05
+
+
+def retry_delay(kind: str, attempts: int, retries: int) -> Optional[float]:
+    """Seconds to wait after a task's ``attempts``-th failed attempt of
+    ``kind`` (a :attr:`TaskFailure.kind`), or ``None``: failed for good.
+
+    A crash or timeout is retried ``retries`` times.  An exception is
+    not: every task is seeded, so it would raise again.
+    """
+    if kind == "exception" or attempts > retries:
+        return None
+    return RETRY_BACKOFF * 2 ** (attempts - 1)
 
 
 @dataclass(frozen=True)
@@ -268,8 +285,7 @@ class _Running:
 
 def robust_map(fn: Callable, tasks: Sequence[Tuple],
                jobs: Optional[int] = None,
-               timeout: Optional[float] = None,
-               retries: int = 0, backoff: float = 0.5,
+               timeout: Optional[float] = None, retries: int = 0,
                on_result: Optional[Callable[[int, Any], None]] = None
                ) -> Tuple[List[Optional[Any]], List[TaskFailure]]:
     """Apply ``fn`` to every task, surviving per-task failures.
@@ -287,8 +303,8 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
     checked every ~50 ms), and a crashed worker takes down only its
     own task; either way the next task gets a fresh fork.  ``fn``, the
     task arguments and the results cross a pipe, so all must pickle.
-    Failed tasks are retried up to ``retries`` times with exponential
-    backoff (``backoff * 2**(attempt-1)`` seconds before relaunch).
+    After each failed attempt :func:`retry_delay` decides: a crash or a
+    timeout is retried up to ``retries`` times, an exception never.
     ``on_result(index, result)`` runs in the calling process as each
     task succeeds: the journal hook of :func:`~repro.harness.campaign.
     run_campaign`.
@@ -309,27 +325,20 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
 
     if jobs <= 1:
         for i, t in enumerate(tasks):
-            failure: Optional[TaskFailure] = None
-            for attempt in range(1, retries + 2):
-                try:
-                    results[i] = fn(*t)
-                    failure = None
-                except Exception as exc:
-                    failure = TaskFailure(
-                        index=i, fn_name=_fn_name(fn),
-                        args_repr=_args_repr(t), kind="exception",
-                        error_type=type(exc).__name__, message=str(exc),
-                        attempts=attempt)
-                    continue
-                if on_result is not None:
-                    on_result(i, results[i])
-                break
-            if failure is not None:
-                failures.append(failure)
+            try:
+                results[i] = fn(*t)
+            except Exception as exc:
+                failures.append(TaskFailure(
+                    index=i, fn_name=_fn_name(fn), args_repr=_args_repr(t),
+                    kind="exception", error_type=type(exc).__name__,
+                    message=str(exc)))
+                continue
+            if on_result is not None:
+                on_result(i, results[i])
         return results, failures
 
     #: (index, attempts_so_far, earliest_start) — retries wait out
-    #: their backoff without blocking other tasks.
+    #: their retry delay without blocking other tasks.
     queue: List[Tuple[int, int, float]] = [(i, 0, 0.0)
                                            for i in range(len(tasks))]
     running: List[_Running] = []
@@ -338,8 +347,8 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
     def _fail_or_retry(run: _Running, kind: str, error_type: str,
                        message: str) -> None:
         attempts = run.attempts + 1
-        if attempts <= retries:
-            delay = backoff * (2.0 ** (attempts - 1)) if backoff > 0 else 0.0
+        delay = retry_delay(kind, attempts, retries)
+        if delay is not None:
             queue.append((run.index, attempts, time.monotonic() + delay))
             return
         failures.append(TaskFailure(
@@ -395,7 +404,7 @@ def robust_map(fn: Callable, tasks: Sequence[Tuple],
                     running.remove(run)
                     run.worker.stop()
                     _fail_or_retry(
-                        run, "timeout", "TrialTimeout",
+                        run, "timeout", "TaskTimedOut",
                         f"exceeded the per-task timeout of {timeout}s")
     finally:
         for worker in idle + [r.worker for r in running]:

@@ -267,16 +267,15 @@ def resilience_sweep(
         stragglers: int = 0,
         strict: Optional[bool] = None, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
-        backoff: float = 0.5,
         checkpoint: Optional[CheckpointStore] = None,
         figure_id: str = "fig19") -> ResilienceFigure:
     """Run the full resilience campaign and assemble the figure.
 
     One cell per (workload, engine, rate, trial), all independent and
     deterministic, run through :func:`~repro.harness.campaign.
-    run_campaign`: a cell whose worker raises, crashes or exceeds
-    ``timeout`` is retried up to ``retries`` times and then reported as
-    an explicit gap — the campaign always completes.  ``checkpoint``
+    run_campaign`: a cell whose worker raises, or crashes or exceeds
+    ``timeout`` more than ``retries`` times, is reported as an explicit
+    gap — the campaign always completes.  ``checkpoint``
     journals finished cells; pass a resumed store to continue a killed
     campaign (gap cells are *not* journaled, so they are re-attempted
     on resume).
@@ -298,8 +297,7 @@ def resilience_sweep(
                     }, (engine, workload, config, name, rate, trial,
                         cell_seed, stragglers, strict_flag)))
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
-                           timeout=timeout, retries=retries,
-                           backoff=backoff)
+                           timeout=timeout, retries=retries)
     figure_cells = [
         ResilienceCell.from_payload(result)
         if not isinstance(result, TaskFailure) else ResilienceCell(

@@ -274,7 +274,6 @@ def tenancy_sweep(
         queues: Optional[Sequence[QueueConfig]] = None,
         strict: Optional[bool] = None, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
-        backoff: float = 0.5,
         checkpoint: Optional[CheckpointStore] = None,
         figure_id: str = "fig23") -> TenancyFigure:
     """Run the full tenancy campaign and assemble the figure.
@@ -316,8 +315,7 @@ def tenancy_sweep(
                     queues_payload, services, crash_rate, jobs_target,
                     strict_flag)))
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
-                           timeout=timeout, retries=retries,
-                           backoff=backoff)
+                           timeout=timeout, retries=retries)
     figure_cells = [
         TenancyCell.from_payload(result)
         if not isinstance(result, TaskFailure) else TenancyCell(

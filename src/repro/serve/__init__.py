@@ -14,8 +14,7 @@ from .cache import DigestCache
 from .ledger import ServingLedger
 from .planner import (CapacityQuery, PlanError, candidate_descriptors,
                       candidate_digest, evaluate_candidate,
-                      plan_capacity, plan_capacity_async,
-                      plan_capacity_sync, search_levels)
+                      plan_capacity_async, plan_capacity_sync)
 from .pool import (AsyncWorkerPool, PoolError, TaskCrashed, TaskFailed,
                    TaskTimedOut)
 from .service import AdvisorService
@@ -25,6 +24,5 @@ __all__ = [
     "CircuitBreaker", "DigestCache", "PlanError", "PoolError",
     "ServingLedger", "TaskCrashed", "TaskFailed", "TaskTimedOut",
     "candidate_descriptors", "candidate_digest", "evaluate_candidate",
-    "plan_capacity", "plan_capacity_async", "plan_capacity_sync",
-    "search_levels",
+    "plan_capacity_async", "plan_capacity_sync",
 ]

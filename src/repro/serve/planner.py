@@ -25,31 +25,36 @@ set per engine:
 
 Every candidate is a canonical descriptor; its digest keys the result
 cache, and :func:`evaluate_candidate` is a module-level JSON-in/JSON-out
-function so it fans out across process-isolated workers (``run_campaign``
-batch-side, :class:`~repro.serve.pool.AsyncWorkerPool` service-side)
-and its result is exactly reproducible: same descriptor, same payload,
-same digest — the property the serving cache and the chaos harness's
-"identical answers across crashes" check both rest on.
+function so it fans out across the process-isolated workers of an
+:class:`~repro.serve.pool.AsyncWorkerPool` and its result is exactly
+reproducible: same descriptor, same payload, same digest — the property
+the serving cache and the chaos harness's "identical answers across
+crashes" check both rest on.  The service and ``repro plan`` share
+one search, :func:`plan_capacity_async` over :func:`evaluate_on_pool`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import math
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..config.advisor import advise_flink, advise_spark
 from ..config.parameters import ConfigError
 from ..config.presets import CORES_PER_NODE, ExperimentConfig
 from ..engines.common.serialization import Serializer
+from ..harness.parallel import resolve_jobs
 from ..validation.digest import digest_payload
 from ..workloads import (ConnectedComponents, Grep, KMeans, PageRank,
                          TeraSort, WordCount)
 from ..workloads.datagen.graphs import SMALL_GRAPH
+from .cache import DigestCache
+from .pool import AsyncWorkerPool, TaskFailed
 
 __all__ = ["PlanError", "CapacityQuery", "candidate_descriptors",
-           "candidate_digest", "evaluate_candidate", "search_levels",
-           "plan_capacity", "plan_capacity_async", "plan_capacity_sync",
+           "candidate_digest", "evaluate_candidate", "evaluate_on_pool",
+           "plan_capacity_async", "plan_capacity_sync",
            "PLAN_WORKLOADS", "ENGINES"]
 
 GiB = float(2**30)
@@ -294,8 +299,8 @@ def evaluate_candidate(desc: Dict[str, Any]) -> Dict[str, Any]:
     Module-level and JSON-in/JSON-out, so it crosses process
     boundaries and its result digests canonically.  Never raises on a
     *candidate* problem — infeasibility is a result, not an error —
-    but does raise on simulator bugs (which the pool then retries and
-    surfaces).
+    but does raise on simulator bugs (which :func:`evaluate_on_pool`
+    reports as a :func:`worker_failure` cell).
     """
     from ..cli import build_config
     from ..harness.runner import run_once
@@ -362,20 +367,17 @@ def synthesize_answer(query: CapacityQuery,
     }
 
 
-def search_levels(query: CapacityQuery):
-    """Sans-io search driver: the walk as a generator.
-
-    Yields candidate-descriptor lists one cluster size at a time and
-    receives their result lists via ``send``; returns the final plan
-    payload.  Both execution strategies — :func:`plan_capacity`
-    (blocking, ``run_campaign``) and the service's async pool — drive
-    *this* generator, so they cannot diverge: same query, same walk,
-    same answer digest.
+async def plan_capacity_async(query: CapacityQuery,
+                              evaluate_many) -> Dict[str, Any]:
+    """Walk cluster sizes ascending; stop at the first size that meets
+    the SLO.  ``await evaluate_many(descs)`` returns one result per
+    candidate; the walk itself is pure, so equal results give an equal
+    answer digest.
     """
     cells: List[Dict[str, Any]] = []
     for nodes in sorted(set(query.nodes_candidates)):
         descs = candidate_descriptors(query, nodes)
-        results = yield descs
+        results = await evaluate_many(descs)
         if len(results) != len(descs):
             raise PlanError(
                 f"evaluate_many returned {len(results)} results for "
@@ -398,58 +400,63 @@ def search_levels(query: CapacityQuery):
     return payload
 
 
-def plan_capacity(query: CapacityQuery,
-                  evaluate_many: Callable[[List[Dict[str, Any]]],
-                                          List[Dict[str, Any]]]
-                  ) -> Dict[str, Any]:
-    """Walk cluster sizes ascending; stop at the first size that meets
-    the SLO.  ``evaluate_many(descs) -> results`` is the execution
-    strategy (serial, ``run_campaign``) — the search itself is pure, so
-    every strategy returns the same answer payload.
+def worker_failure(exc: BaseException) -> Dict[str, Any]:
+    """The result of a candidate whose evaluation raised in its worker:
+    a failed cell, not a failed plan."""
+    return {"ok": False, "feasible": False,
+            "reason": f"worker-failure: {exc}", "advice": [],
+            "duration": None, "sim_events": 0}
+
+
+async def evaluate_on_pool(pool: AsyncWorkerPool,
+                           descs: List[Dict[str, Any]],
+                           cache: Optional[DigestCache] = None
+                           ) -> List[Dict[str, Any]]:
+    """Price candidates on ``pool``, through ``cache``'s ``cell:`` tier
+    if given.  An in-task exception becomes a :func:`worker_failure`
+    cell; a crash or timeout past the retries raises, but only once
+    every sibling attempt has settled, so the ledger always balances.
     """
-    gen = search_levels(query)
-    descs = next(gen)
-    while True:
-        try:
-            descs = gen.send(evaluate_many(descs))
-        except StopIteration as stop:
-            return stop.value
+    keys = ["cell:" + candidate_digest(d) for d in descs]
+    results: List[Any] = [cache.get(key) if cache is not None else None
+                          for key in keys]
+    pending = [i for i, r in enumerate(results) if r is None]
 
-
-async def plan_capacity_async(query: CapacityQuery,
-                              evaluate_many) -> Dict[str, Any]:
-    """The same search driven by an ``async`` evaluation strategy
-    (the service's :class:`~repro.serve.pool.AsyncWorkerPool`)."""
-    gen = search_levels(query)
-    descs = next(gen)
-    while True:
+    async def one(i: int) -> Dict[str, Any]:
+        tag = f"{descs[i]['engine']}@{descs[i]['nodes']}"
         try:
-            descs = gen.send(await evaluate_many(descs))
-        except StopIteration as stop:
-            return stop.value
+            return await pool.run(evaluate_candidate, (descs[i],), tag=tag)
+        except TaskFailed as exc:
+            return worker_failure(exc)
+
+    fresh = await asyncio.gather(*(one(i) for i in pending),
+                                 return_exceptions=True)
+    for i, result in zip(pending, fresh):
+        results[i] = result
+        if cache is not None and not isinstance(result, BaseException):
+            cache.put(keys[i], result)
+    for result in fresh:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def plan_capacity_sync(query: CapacityQuery,
                        jobs: Optional[int] = None,
                        timeout: Optional[float] = None,
-                       retries: int = 1, backoff: float = 0.5
-                       ) -> Dict[str, Any]:
-    """One-shot planning (the ``repro plan`` CLI): each level's
-    candidates are the cells of a :func:`~repro.harness.campaign.
-    run_campaign`, with the same failure containment as the campaign
-    sweeps; a cell whose worker cannot complete becomes an explicit
-    ``worker-failure`` result, not an abort."""
-    from ..harness.campaign import run_campaign
-    from ..harness.parallel import TaskFailure
+                       retries: int = 1) -> Dict[str, Any]:
+    """One-shot planning (``repro plan``): the service's search on a
+    private :class:`~repro.serve.pool.AsyncWorkerPool`.  A crash or
+    timeout past ``retries`` raises the pool's ``TaskCrashed`` or
+    ``TaskTimedOut``, where the service answers 500.
+    """
+    async def run() -> Dict[str, Any]:
+        pool = AsyncWorkerPool(jobs=resolve_jobs(jobs),
+                               task_timeout=timeout, retries=retries)
+        try:
+            return await plan_capacity_async(
+                query, lambda descs: evaluate_on_pool(pool, descs))
+        finally:
+            await pool.close()
 
-    def evaluate_many(descs: List[Dict[str, Any]]
-                      ) -> List[Dict[str, Any]]:
-        results = run_campaign(
-            evaluate_candidate, [(desc, (desc,)) for desc in descs],
-            jobs=jobs, timeout=timeout, retries=retries, backoff=backoff)
-        return [{"ok": False, "feasible": False,
-                 "reason": f"worker-failure: {r.describe()}",
-                 "advice": [], "duration": None, "sim_events": 0}
-                if isinstance(r, TaskFailure) else r for r in results]
-
-    return plan_capacity(query, evaluate_many)
+    return asyncio.run(run())

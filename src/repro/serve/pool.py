@@ -1,4 +1,4 @@
-"""Process-isolated worker pool for the asyncio service.
+"""Process-isolated worker pool for the asyncio service and ``repro plan``.
 
 :func:`~repro.harness.parallel.robust_map` gives batch campaigns
 process isolation, per-task timeouts and bounded retry — but it blocks
@@ -16,11 +16,14 @@ timeout or cancellation SIGKILLs its worker, and the slot's next
 attempt gets a fresh fork.  Guarantees:
 
 * a worker that dies raises :class:`TaskCrashed` for the attempt it
-  was running only (retried with exponential backoff up to
-  ``retries``); a worker killed while idle is replaced before its next
-  attempt and costs no attempt at all;
-* an attempt exceeding ``task_timeout`` is SIGKILLed and raises
-  :class:`TaskTimedOut` (also retried);
+  was running only; a worker killed while idle is replaced before its
+  next attempt and costs no attempt at all;
+* an attempt exceeding ``task_timeout`` (if set) is SIGKILLed and
+  raises :class:`TaskTimedOut`;
+* :func:`~repro.harness.parallel.retry_delay`, the attempt policy
+  shared with ``robust_map``, retries crashes and timeouts up to
+  ``retries`` times; an in-task exception (:class:`TaskFailed`) is
+  raised at once;
 * cancelling the awaiting coroutine — a request deadline, a drain —
   SIGKILLs the in-flight worker *before* the cancellation propagates:
   no orphaned simulation keeps burning CPU for an answer nobody wants;
@@ -50,7 +53,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..harness.parallel import _Worker
+from ..harness.parallel import _Worker, retry_delay
 from .breaker import CircuitBreaker
 from .ledger import ServingLedger
 
@@ -59,20 +62,27 @@ __all__ = ["AsyncWorkerPool", "TaskCrashed", "TaskTimedOut",
 
 
 class PoolError(RuntimeError):
-    """Base class for attempt failures inside the pool."""
+    """Base class for attempt failures inside the pool; ``kind`` is a
+    :attr:`~repro.harness.parallel.TaskFailure.kind`."""
 
 
 class TaskCrashed(PoolError):
     """The worker process died before reporting a result."""
 
+    kind = "crash"
+
 
 class TaskTimedOut(PoolError):
     """The attempt exceeded the per-task timeout and was killed."""
+
+    kind = "timeout"
 
 
 class TaskFailed(PoolError):
     """The task function raised inside the worker (not retried: the
     task is deterministic, so the exception is too)."""
+
+    kind = "exception"
 
     def __init__(self, error_type: str, message: str) -> None:
         super().__init__(f"{error_type}: {message}")
@@ -84,15 +94,15 @@ class AsyncWorkerPool:
     """Bounded async fan-out of module-level functions to warm worker
     processes."""
 
-    def __init__(self, jobs: int = 2, task_timeout: float = 30.0,
-                 retries: int = 1, backoff: float = 0.05,
+    def __init__(self, jobs: int = 2,
+                 task_timeout: Optional[float] = 30.0, retries: int = 1,
                  ledger: Optional[ServingLedger] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  chaos: Optional[Callable[[str, int],
                                           Optional[str]]] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if task_timeout <= 0:
+        if task_timeout is not None and task_timeout <= 0:
             raise ValueError(
                 f"task_timeout must be > 0, got {task_timeout}")
         if retries < 0:
@@ -100,7 +110,6 @@ class AsyncWorkerPool:
         self.jobs = jobs
         self.task_timeout = task_timeout
         self.retries = retries
-        self.backoff = backoff
         self.ledger = ledger if ledger is not None else ServingLedger()
         self.breaker = breaker
         self.chaos = chaos
@@ -126,22 +135,21 @@ class AsyncWorkerPool:
             attempt += 1
             try:
                 result = await self._attempt(fn, args, tag, attempt)
-            except (TaskCrashed, TaskTimedOut) as exc:
-                if self.breaker is not None:
+            except (TaskFailed, TaskCrashed, TaskTimedOut) as exc:
+                # An in-task exception is not a pool-health signal.
+                if self.breaker is not None and exc.kind != "exception":
                     self.breaker.record_failure()
-                if attempt > self.retries:
+                delay = retry_delay(exc.kind, attempt, self.retries)
+                if delay is None:
+                    if isinstance(exc, TaskFailed):
+                        raise
                     self.ledger.sim_exhausted += 1
                     raise type(exc)(
                         f"{exc} [task {tag or getattr(fn, '__name__', fn)}"
                         f" gave up after {attempt} attempt(s)]") from exc
                 self.ledger.sim_retried += 1
-                delay = self.backoff * (2.0 ** (attempt - 1))
                 await asyncio.sleep(delay)
                 continue
-            except TaskFailed:
-                # Deterministic in-task exception: retrying recomputes
-                # the same raise.  Not a pool-health signal.
-                raise
             if self.breaker is not None:
                 self.breaker.record_success()
             return result

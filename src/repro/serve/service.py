@@ -21,7 +21,7 @@ ledger bucket and a chaos test:
   while open, plans shed with 503 + ``Retry-After`` instead of feeding
   a sick pool; half-open probes recover it;
 * **crash retry** — worker deaths fail only the attempt they hit, and
-  are retried on a fresh worker with exponential backoff before the
+  are retried on a fresh worker after a doubling delay before the
   request fails with 500;
 * **verified cache** — corrupt entries are quarantined and recomputed,
   never served;
@@ -51,17 +51,16 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..config.parameters import ConfigError
 from .breaker import CircuitBreaker
 from .cache import DigestCache
 from .ledger import ServingLedger
 from .planner import (CapacityQuery, PlanError, apply_overrides,
-                      build_plan_workload, candidate_digest,
-                      evaluate_candidate, plan_capacity_async,
-                      _advice_payload, _advise)
-from .pool import AsyncWorkerPool, TaskFailed, PoolError
+                      build_plan_workload, evaluate_on_pool,
+                      plan_capacity_async, _advice_payload, _advise)
+from .pool import AsyncWorkerPool, PoolError
 
 __all__ = ["AdvisorService", "MAX_BODY_BYTES"]
 
@@ -106,7 +105,6 @@ class AdvisorService:
                  default_deadline: float = 30.0,
                  client_timeout: float = 5.0,
                  task_timeout: float = 30.0, retries: int = 1,
-                 backoff: float = 0.05,
                  breaker_threshold: int = 5,
                  breaker_reset: float = 0.5,
                  breaker_max_reset: float = 30.0,
@@ -131,8 +129,7 @@ class AdvisorService:
             on_transition=self._on_breaker_transition, **breaker_kw)
         self.pool = AsyncWorkerPool(
             jobs=jobs, task_timeout=task_timeout, retries=retries,
-            backoff=backoff, ledger=self.ledger, breaker=self.breaker,
-            chaos=chaos)
+            ledger=self.ledger, breaker=self.breaker, chaos=chaos)
         self._store = cache_store
         self.cache = DigestCache(store=cache_store)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -499,41 +496,6 @@ class AdvisorService:
 
     async def _plan_work(self, query: CapacityQuery) -> Dict[str, Any]:
         """The search, with candidate-level caching over the pool."""
-
-        async def evaluate_many(descs: List[Dict[str, Any]]
-                                ) -> List[Dict[str, Any]]:
-            keys = ["cell:" + candidate_digest(d) for d in descs]
-            results: List[Optional[Dict[str, Any]]] = [
-                self.cache.get(key) for key in keys]
-            pending = [i for i, r in enumerate(results) if r is None]
-
-            async def one(i: int) -> Dict[str, Any]:
-                tag = f"{descs[i]['engine']}@{descs[i]['nodes']}"
-                try:
-                    return await self.pool.run(
-                        evaluate_candidate, (descs[i],), tag=tag)
-                except TaskFailed as exc:
-                    # The simulator raised deterministically; report
-                    # the cell as failed rather than the whole plan.
-                    return {"ok": False, "feasible": False,
-                            "reason": f"worker-failure: {exc}",
-                            "advice": [], "duration": None,
-                            "sim_events": 0}
-
-            # return_exceptions: a crashed candidate must not abandon
-            # its siblings mid-attempt — every attempt settles before
-            # the failure propagates, so the ledger's attempt/outcome
-            # conservation holds at any audit point.
-            fresh = await asyncio.gather(*(one(i) for i in pending),
-                                         return_exceptions=True)
-            for i, result in zip(pending, fresh):
-                if isinstance(result, BaseException):
-                    continue
-                results[i] = result
-                self.cache.put(keys[i], result)
-            for result in fresh:
-                if isinstance(result, BaseException):
-                    raise result
-            return [r for r in results if r is not None]
-
-        return await plan_capacity_async(query, evaluate_many)
+        return await plan_capacity_async(
+            query, lambda descs: evaluate_on_pool(self.pool, descs,
+                                                  self.cache))

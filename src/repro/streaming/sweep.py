@@ -258,7 +258,6 @@ def streaming_sweep(
         crash_at: Optional[float] = None,
         strict: Optional[bool] = None, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
-        backoff: float = 0.5,
         checkpoint: Optional[CheckpointStore] = None) -> StreamingFigure:
     """Run a streaming campaign and assemble the figure.
 
@@ -273,9 +272,9 @@ def streaming_sweep(
 
     Cells are independent and deterministic, run through
     :func:`~repro.harness.campaign.run_campaign`; a cell whose worker
-    raises, crashes or exceeds ``timeout`` is retried and then reported
-    as an explicit gap.  ``checkpoint`` journals finished cells for
-    kill-and-resume.
+    raises, or crashes or exceeds ``timeout`` past its retries, is
+    reported as an explicit gap.  ``checkpoint`` journals finished
+    cells for kill-and-resume.
     """
     labels: List[Tuple[str, str, float, float]] = []
     if checkpoint_intervals is not None:
@@ -305,8 +304,7 @@ def streaming_sweep(
         batch_interval, crash_at, strict_flag))
         for engine, kind, fraction, interval in labels]
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
-                           timeout=timeout, retries=retries,
-                           backoff=backoff)
+                           timeout=timeout, retries=retries)
     figure_cells = [_decode(StreamingCell, key, result)
                     for (key, _args), result in zip(cells, results)]
     return StreamingFigure(
@@ -486,7 +484,6 @@ def degradation_sweep(
         batch_interval: float = 1.0,
         strict: Optional[bool] = None, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
-        backoff: float = 0.5,
         checkpoint: Optional[CheckpointStore] = None
 ) -> DegradationFigure:
     """Run the fig22 degradation campaign and assemble the figure.
@@ -509,8 +506,7 @@ def degradation_sweep(
         for engine in engines for multiple in load_multiples
         for rate in fault_rates for policy in policies]
     results = run_campaign(_degrade_task, cells, checkpoint, jobs=jobs,
-                           timeout=timeout, retries=retries,
-                           backoff=backoff)
+                           timeout=timeout, retries=retries)
     figure_cells = [_decode(DegradeCell, key, result)
                     for (key, _args), result in zip(cells, results)]
     return DegradationFigure(

@@ -249,7 +249,7 @@ def test_cli_fingerprint_ignores_how_a_campaign_runs(tmp_path, capsys):
     journal = (store / "journal.jsonl").read_text()
     assert main(_resilience_argv(
         store, "--resume", "--jobs", "2", "--strict", "--retries", "3",
-        "--timeout", "60", "--task-backoff", "0.1")) == 0
+        "--timeout", "60")) == 0
     assert capsys.readouterr().out == first
     assert (store / "journal.jsonl").read_text() == journal
 

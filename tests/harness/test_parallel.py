@@ -17,8 +17,9 @@ import pytest
 
 from repro.config.presets import wordcount_grep_preset
 from repro.harness import figures
-from repro.harness.parallel import (ENV_JOBS, TaskFailure, _Worker,
-                                    parallel_map, resolve_jobs, robust_map)
+from repro.harness.parallel import (ENV_JOBS, RETRY_BACKOFF, TaskFailure,
+                                    _Worker, parallel_map, resolve_jobs,
+                                    retry_delay, robust_map)
 from repro.harness.sweep import sweep
 from repro.resilience import default_workloads
 from repro.resilience.sweep import _cell_task
@@ -165,15 +166,56 @@ def test_robust_map_kills_hung_workers():
     results, failures = robust_map(_hang, [(1,)], jobs=2, timeout=0.5)
     assert time.monotonic() - start < 30
     assert results == [None]
-    assert failures[0].kind == "timeout"
+    assert (failures[0].kind, failures[0].error_type) == ("timeout",
+                                                          "TaskTimedOut")
 
 
-def test_robust_map_retries_record_attempts():
-    results, failures = robust_map(_flaky, [(13,)], jobs=1, retries=2,
-                                   backoff=0.0)
+# ----------------------------------------------------------------------
+# the attempt policy
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind, attempts, retries, delay", [
+    ("exception", 1, 0, None),
+    ("exception", 1, 5, None),     # seeded: it would raise again
+    ("crash", 1, 0, None),
+    ("crash", 1, 1, RETRY_BACKOFF),
+    ("crash", 2, 1, None),
+    ("timeout", 1, 3, RETRY_BACKOFF),
+    ("timeout", 2, 3, 2 * RETRY_BACKOFF),
+    ("timeout", 3, 3, 4 * RETRY_BACKOFF),
+    ("timeout", 4, 3, None),
+])
+def test_retry_delay_policy(kind, attempts, retries, delay):
+    assert retry_delay(kind, attempts, retries) == delay
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_robust_map_does_not_retry_exceptions(jobs):
+    results, failures = robust_map(_flaky, [(13,)], jobs=jobs, retries=2)
     assert results == [None]
-    assert failures[0].attempts == 3
-    assert "3 attempt(s)" in failures[0].describe()
+    assert (failures[0].kind, failures[0].attempts) == ("exception", 1)
+
+
+def test_robust_map_retries_crashes_and_records_attempts():
+    results, failures = robust_map(_die, [(1,)], jobs=2, retries=2)
+    assert results == [None]
+    f = failures[0]
+    assert (f.kind, f.error_type, f.attempts) == ("crash", "TaskCrashed", 3)
+    assert "3 attempt(s)" in f.describe()
+
+
+def _crash_once(marker):
+    """Crash the worker on the first attempt only."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return "recovered"
+
+
+def test_robust_map_retry_recovers_a_crashed_attempt(tmp_path):
+    marker = str(tmp_path / "crashed")
+    results, failures = robust_map(_crash_once, [(marker,)], jobs=2,
+                                   retries=1)
+    assert (results, failures) == (["recovered"], [])
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +297,7 @@ def test_warm_worker_cell_is_bit_identical_to_a_fresh_one():
 
 def test_task_failure_describe_is_informative():
     f = TaskFailure(index=4, fn_name="_cell_task", args_repr="('spark',)",
-                    kind="timeout", error_type="TrialTimeout",
+                    kind="timeout", error_type="TaskTimedOut",
                     message="exceeded 5.0s")
     text = f.describe()
     assert "task #4" in text and "_cell_task" in text

@@ -58,8 +58,7 @@ def test_sigkill_churn_yields_digest_identical_answers():
         audit(calm, draining=True)
 
         # Chaos: the first attempt of every simulation is SIGKILLed.
-        stormy = await start(retries=2, backoff=0.01,
-                             breaker_threshold=100,
+        stormy = await start(retries=2, breaker_threshold=100,
                              chaos=lambda _t, attempt:
                              "kill" if attempt == 1 else None)
         for query in queries:
@@ -186,7 +185,7 @@ def test_drain_finishes_or_sheds_inflight_and_balances():
         # Workers die forever with a generous retry budget, so an
         # admitted request is guaranteed to still be in flight when
         # the drain starts, and the short grace forces a shed.
-        service = await start(jobs=1, retries=50, backoff=0.2,
+        service = await start(jobs=1, retries=50,
                               breaker_threshold=10_000,
                               drain_grace=0.2,
                               chaos=lambda _t, _a: "kill")
@@ -214,7 +213,7 @@ def test_full_storm_ledger_still_balances():
 
     async def main():
         service = await start(jobs=2, queue_limit=3, retries=2,
-                              backoff=0.01, breaker_threshold=1000,
+                              breaker_threshold=1000,
                               chaos=chaos)
         queries = [dict(QUICK, data_scale=0.05 + i * 0.001)
                    for i in range(12)]

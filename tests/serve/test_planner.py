@@ -1,17 +1,22 @@
 """Capacity planner: validation, advisor gating, determinism."""
 
+import asyncio
+import os
+
 import pytest
 
-from repro.serve import (CapacityQuery, PlanError, candidate_descriptors,
-                         candidate_digest, evaluate_candidate,
-                         plan_capacity, plan_capacity_sync)
+from repro.cli import main
+from repro.serve import (CapacityQuery, PlanError, TaskCrashed,
+                         candidate_descriptors, candidate_digest,
+                         evaluate_candidate, plan_capacity_async,
+                         plan_capacity_sync)
 from repro.serve.planner import synthesize_answer
 
 QUICK = dict(workload="wordcount", slo_seconds=200.0,
              nodes_candidates=(2, 4), data_scale=0.05)
 
 
-def serial(descs):
+async def serial(descs):
     return [evaluate_candidate(d) for d in descs]
 
 
@@ -112,7 +117,7 @@ def test_invalid_override_is_a_result_not_a_crash():
 # ----------------------------------------------------------------------
 def test_search_stops_at_first_feasible_level():
     query = CapacityQuery(**QUICK)
-    payload = plan_capacity(query, serial)
+    payload = asyncio.run(plan_capacity_async(query, serial))
     assert payload["answer"]["feasible"]
     assert payload["answer"]["nodes"] == 2
     assert {c["candidate"]["nodes"] for c in payload["cells"]} == {2}, (
@@ -122,26 +127,59 @@ def test_search_stops_at_first_feasible_level():
 def test_infeasible_query_reports_why():
     query = CapacityQuery(workload="wordcount", slo_seconds=0.001,
                           nodes_candidates=(2,), data_scale=0.05)
-    payload = plan_capacity(query, serial)
+    payload = asyncio.run(plan_capacity_async(query, serial))
     assert payload["answer"]["feasible"] is False
     assert "no candidate met" in payload["answer"]["reason"]
 
 
 def test_answer_digest_is_reproducible():
     query = CapacityQuery(**QUICK)
-    a = plan_capacity(query, serial)
-    b = plan_capacity(query, serial)
+    a = asyncio.run(plan_capacity_async(query, serial))
+    b = asyncio.run(plan_capacity_async(query, serial))
     assert a["answer_digest"] == b["answer_digest"]
     assert a["query_digest"] == query.digest()
 
 
-def test_robust_map_path_matches_serial():
+def test_pool_path_matches_serial():
     query = CapacityQuery(**QUICK)
-    a = plan_capacity(query, serial)
+    a = asyncio.run(plan_capacity_async(query, serial))
     b = plan_capacity_sync(query, jobs=2, timeout=120.0)
     assert b["answer_digest"] == a["answer_digest"], (
         "process-isolated evaluation must be digest-identical to "
         "serial evaluation")
+
+
+# ----------------------------------------------------------------------
+# a worker that dies past its retries fails the plan, as in the service
+# ----------------------------------------------------------------------
+def _crash_at_two_nodes(desc):
+    """Kill the worker for every 2-node candidate (a real crash, not an
+    exception); forked workers unpickle this by reference."""
+    if desc["nodes"] == 2:
+        os._exit(1)
+    return evaluate_candidate(desc)
+
+
+def test_crash_past_retries_fails_the_plan(monkeypatch):
+    # Filing the crashed 2-node candidates as infeasible would answer
+    # flink x 4 to a query whose answer is flink x 2.
+    monkeypatch.setattr("repro.serve.planner.evaluate_candidate",
+                        _crash_at_two_nodes)
+    with pytest.raises(TaskCrashed, match="gave up after 2 attempt"):
+        plan_capacity_sync(CapacityQuery(**QUICK), jobs=2, retries=1)
+
+
+def test_plan_cli_crash_is_one_error_line_and_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr("repro.serve.planner.evaluate_candidate",
+                        _crash_at_two_nodes)
+    status = main(["plan", "--workload", "wordcount", "--slo", "200",
+                   "--nodes-candidates", "2", "4", "--data-scale", "0.05",
+                   "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert status == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "answer:" not in captured.out
 
 
 def test_synthesize_prefers_small_then_fast():

@@ -74,7 +74,7 @@ def test_concurrent_tasks_all_complete():
 
 def test_worker_crash_is_retried_then_reported():
     async def main():
-        pool = AsyncWorkerPool(jobs=1, retries=1, backoff=0.01)
+        pool = AsyncWorkerPool(jobs=1, retries=1)
         with pytest.raises(TaskCrashed) as err:
             await pool.run(_crash, (), tag="boom")
         assert "gave up after 2 attempt(s)" in str(err.value)
@@ -99,7 +99,7 @@ def test_timeout_kills_the_worker():
 
 def test_task_exception_is_not_retried():
     async def main():
-        pool = AsyncWorkerPool(jobs=1, retries=3, backoff=0.01)
+        pool = AsyncWorkerPool(jobs=1, retries=3)
         with pytest.raises(TaskFailed) as err:
             await pool.run(_raise, ())
         assert err.value.error_type == "ValueError"
@@ -136,8 +136,7 @@ def test_chaos_kill_is_a_real_crash_and_retry_recovers():
         return None
 
     async def main():
-        pool = AsyncWorkerPool(jobs=1, retries=1, backoff=0.01,
-                               chaos=chaos)
+        pool = AsyncWorkerPool(jobs=1, retries=1, chaos=chaos)
         result = await pool.run(_square, (5,), tag="victim")
         assert result == 25
         assert killed == ["victim"]
@@ -165,8 +164,7 @@ def test_ledger_attempts_always_balance():
 
     async def main():
         ledger = ServingLedger()
-        pool = AsyncWorkerPool(jobs=2, retries=1, backoff=0.01,
-                               ledger=ledger, chaos=chaos)
+        pool = AsyncWorkerPool(jobs=2, retries=1, ledger=ledger, chaos=chaos)
         await pool.run(_square, (2,), tag="live")
         await pool.run(_square, (3,), tag="die")
         with pytest.raises(TaskFailed):

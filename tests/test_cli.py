@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import (FIGURES, RESOURCE_FIGURES, WORKLOADS, build_config,
-                       build_workload, main)
+                       build_parser, build_workload, main)
 
 
 def test_list_command(capsys):
@@ -129,6 +129,29 @@ def test_resilience_resume_requires_checkpoint(capsys):
         main(["resilience", "--resume"])
 
 
+PLAN = ["plan", "--workload", "grep", "--slo", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table7", "--jobs", "-1"],
+    ["resilience", "--jobs", "-1"],
+    PLAN + ["--jobs", "-1"],
+    ["serve", "--jobs", "-1"],
+    ["resilience", "--retries", "-1"],
+    PLAN + ["--timeout", "-1"],
+    ["serve", "--timeout", "0"],
+    ["serve", "--queue-limit", "0"],
+    ["serve", "--breaker-threshold", "0"],
+    ["serve", "--breaker-reset", "0"],
+], ids=" ".join)
+def test_out_of_range_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}" in err, err
+
+
 @pytest.mark.parametrize("cache", ["stray-dir", "regular-file"])
 def test_serve_cache_that_cannot_open_is_a_one_line_error(cache, tmp_path,
                                                          capsys):
@@ -218,7 +241,11 @@ def _children_of(pid):
      "2", "--rates", "0.0", "0.5", "1.0", "2.0"],
     # parallel_map's all-or-nothing fan-out
     ["table7", "--nodes", "97", "--jobs", "2"],
-], ids=["resilience", "table7"])
+    # the capacity planner's private worker pool (long enough that the
+    # SIGINT lands before the plan finishes)
+    ["plan", "--workload", "pagerank", "--slo", "1", "--nodes-candidates",
+     "2", "4", "8", "16", "32", "64", "--jobs", "2"],
+], ids=["resilience", "table7", "plan"])
 def test_sigint_to_campaign_is_one_line_not_traceback_spew(argv, tmp_path):
     """A Ctrl-C mid-campaign must terminate the workers, print one
     short message, and exit 130 — no multiprocess traceback storm."""
