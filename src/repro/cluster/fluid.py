@@ -22,15 +22,21 @@ controlled by the scheduler's ``trace_detail``: ``"full"`` records every
 rate change, ``"off"`` nothing — sweeps that need only durations skip
 the trace cost entirely.
 
-Scale: reallocations are *batched*.  Callers that change many flows at
-one instant (a node starting all the transfers of a chunk, a wakeup
-finishing several flows) funnel through :meth:`FluidScheduler.transfer_many`
-and :meth:`FluidScheduler._reallocate_many`, which resolve every
-affected component once, solve all single-flow components together —
-through a numpy array pass when the batch is large enough — and refresh
-the kernel wakeup a single time.  The arithmetic is operation-for-
-operation identical to the scalar path, so traces and completion times
-are bit-identical; only the Python overhead changes.
+Scale: one solve per simulated instant.  :meth:`FluidScheduler.transfer`
+queues its new flow instead of solving; the kernel calls
+:meth:`FluidScheduler.settle` before the clock advances, before the
+scheduler's wakeup is dispatched and before ``run`` returns, and the
+public readers of flow state settle first too.  However many processes
+start flows in one instant (all 200 nodes of an HDFS write starting
+their replication pipelines), the instant gets one
+:meth:`FluidScheduler._reallocate_many` pass.  That pass, like the one a
+wakeup makes for the flows it finishes, resolves every affected
+component once, solves all single-flow components together — through a
+numpy array pass when the batch is large enough — and refreshes the
+kernel wakeup a single time.  Each settle sees the membership and the
+drained bytes the last per-arrival solve of its instant would have
+seen, so rates, finish times and event counts do not depend on how an
+instant's arrivals are grouped.
 """
 
 from __future__ import annotations
@@ -38,11 +44,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .simulation import Event, Simulation, SimulationError
+from .simulation import Event, Simulation, SimulationError, Wakeup
 from .trace import StepSeries
 
 __all__ = ["Capacity", "Flow", "FluidScheduler", "TRACE_DETAIL_MODES"]
@@ -258,14 +264,6 @@ class Flow:
                 f"remaining={self.remaining:.3g}, rate={self.rate:.3g})")
 
 
-#: A transfer request accepted by :meth:`FluidScheduler.transfer_many`:
-#: ``(size, capacities)`` or ``(size, capacities, rate_cap)``.
-TransferRequest = Union[
-    Tuple[float, Sequence[Capacity]],
-    Tuple[float, Sequence[Capacity], Optional[float]],
-]
-
-
 class FluidScheduler:
     """Owns all active flows and keeps their completion events on time.
 
@@ -277,10 +275,11 @@ class FluidScheduler:
     arrival, lazy re-derivation after removals), completions are tracked
     with a lazy heap keyed by each flow's current finish estimate, and
     single-flow components take a closed-form fast path through the
-    max–min solver.  Batch entry points (:meth:`transfer_many`, the
-    wakeup handler) resolve all affected components once and solve the
-    single-flow ones together — via one numpy pass for large batches —
-    with bit-identical results.
+    max–min solver.  Arrivals are queued and settled once per instant;
+    the settle and the wakeup handler both go through
+    :meth:`_reallocate_many`, which resolves all affected components once
+    and solves the single-flow ones together — via one numpy pass for
+    large batches — with bit-identical results.
     """
 
     def __init__(self, sim: Simulation, trace_detail: str = "full") -> None:
@@ -292,6 +291,8 @@ class FluidScheduler:
         self.trace_detail = trace_detail
         self._flows: Set[Flow] = set()
         self._finish_heap: List = []  # (finish_time, flow_id, flow, rate_stamp)
+        #: Flows started at ``sim.now`` and not yet solved, in start order.
+        self._pending: List[Flow] = []
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
         self.completed_count = 0
@@ -313,64 +314,54 @@ class FluidScheduler:
     # ------------------------------------------------------------------
     def transfer(self, size: float, capacities: Sequence[Capacity],
                  rate_cap: Optional[float] = None) -> Event:
-        """Start a flow; returns an event that fires when it completes."""
+        """Start a flow; returns an event that fires when it completes.
+
+        The flow joins its capacities and component at once, but its
+        rate is solved by the next :meth:`settle`, together with every
+        other flow started in this instant.
+        """
         if size < 0:
             raise ValueError(f"flow size must be >= 0, got {size}")
-        done = Event(self.sim)
+        sim = self.sim
+        done = Event(sim)
         if size <= _EPS:
             # Zero-byte transfers complete immediately (next kernel step).
-            self.sim._schedule(done, 0.0)
+            sim._schedule(done, 0.0)
             done.value = 0.0
             return done
-        flow = Flow(size, capacities, done, self.sim.now, rate_cap)
+        flow = Flow(size, capacities, done, sim.now, rate_cap)
         self._flows.add(flow)
-        component = self._insert_flow(flow)
-        self._reallocate_component(flow, component)
+        self._insert_flow(flow)
+        pending = self._pending
+        if not pending:
+            sim._unsettled.append(self)
+        pending.append(flow)
         return done
 
-    def transfer_many(self, requests: Sequence[TransferRequest]) -> List[Event]:
-        """Start several flows at the current instant with one solve.
+    def transfer_many(self, requests) -> List[Event]:
+        """:meth:`transfer` once per ``(size, capacities[, rate_cap])``.
 
-        ``requests`` is a sequence of ``(size, capacities)`` or
-        ``(size, capacities, rate_cap)`` tuples; the returned events are
-        in request order.  Observably identical to calling
-        :meth:`transfer` once per request at the same simulated instant
-        — intermediate rates between the individual starts are never
-        visible to anyone (no kernel event can run in between), so the
-        per-arrival reallocations, finish-heap churn and wakeup
-        cancel/reschedule cycles are pure overhead that this entry point
-        skips.
+        Nothing in the package calls it; ``bench/layers.py`` wraps it by
+        name to count flows.
         """
-        sim = self.sim
-        now = sim.now
-        events: List[Event] = []
-        seeds: List[Flow] = []
-        flows = self._flows
-        for req in requests:
-            size = req[0]
-            if size < 0:
-                raise ValueError(f"flow size must be >= 0, got {size}")
-            done = Event(sim)
-            events.append(done)
-            if size <= _EPS:
-                sim._schedule(done, 0.0)
-                done.value = 0.0
-                continue
-            flow = Flow(size, req[1], done, now,
-                        req[2] if len(req) > 2 else None)
-            flows.add(flow)
-            self._insert_flow(flow)
-            seeds.append(flow)
-        if seeds:
-            self._reallocate_many(seeds)
-        return events
+        return [self.transfer(*request) for request in requests]
+
+    def settle(self) -> None:
+        """Solve the flows started in this instant: one max–min pass."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            self.sim._unsettled.remove(self)
+            self._reallocate_many(pending)
 
     @property
     def active_flows(self) -> int:
+        self.settle()
         return len(self._flows)
 
     def flows_on(self, capacities: Sequence[Capacity]) -> List[Flow]:
         """Active flows crossing any of the given capacities (id order)."""
+        self.settle()
         hit = {f for cap in capacities for f in cap.flows}
         return sorted(hit, key=lambda f: f.id)
 
@@ -384,6 +375,7 @@ class FluidScheduler:
         """
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        self.settle()
         cap.bandwidth = float(bandwidth)
         cap.bw_high_water = max(cap.bw_high_water, cap.bandwidth)
         if cap.flows:
@@ -391,7 +383,7 @@ class FluidScheduler:
             # re-recorded even at an unchanged rate: poison the cached
             # aggregate so the fast paths cannot skip the record.
             cap.last_rate = math.nan
-            self._reallocate_component(next(iter(cap.flows)))
+            self._reallocate_many([next(iter(cap.flows))])
         else:
             self._record_cap(cap, self.sim.now)
 
@@ -404,6 +396,7 @@ class FluidScheduler:
         dropped.  Survivor flows sharing a capacity are re-allocated.
         Returns the number of flows actually aborted.
         """
+        self.settle()
         now = self.sim.now
         aborted: List[Flow] = []
         for flow in flows:
@@ -444,12 +437,12 @@ class FluidScheduler:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _insert_flow(self, flow: Flow) -> Optional[Set[Flow]]:
+    def _insert_flow(self, flow: Flow) -> None:
         """Register ``flow`` on its capacities and merge components.
 
-        Returns the exact component membership when it is known (clean
-        merge), or None when a stale neighbour forces the caller to
-        re-derive lazily.  Does *not* reallocate.
+        A clean merge leaves the component exact; a stale neighbour
+        gives the flow a dirty component the next solve re-derives.
+        Does *not* reallocate.
         """
         # An arriving flow bridges the components of every flow it now
         # shares a capacity with; if they are all exact, their union plus
@@ -471,7 +464,7 @@ class FluidScheduler:
             else:
                 comp = _Component({flow})
             flow.comp = comp
-            return comp.flows
+            return
         if clean:
             # Merge into the largest neighbour component.
             big = max(comps, key=lambda c: len(c.flows))
@@ -483,12 +476,11 @@ class FluidScheduler:
                     f.comp = big
             big.flows.add(flow)
             flow.comp = big
-            return big.flows
+            return
         # A neighbour component is stale; re-derive lazily.
         comp = _Component({flow})
         comp.dirty = True
         flow.comp = comp
-        return None
 
     @staticmethod
     def _component_of(seed: Flow) -> Set[Flow]:
@@ -538,63 +530,22 @@ class FluidScheduler:
         if self.trace_detail == "full":
             cap._record(now)
 
-    def _reallocate_component(self, seed: Flow,
-                              component: Optional[Set[Flow]] = None) -> None:
-        """Recompute rates/traces/finish estimates around ``seed``.
-
-        One fused pass: drain every flow's remaining bytes up to now,
-        run the progressive-filling max–min solver over the component,
-        refresh finish-heap entries and record the touched capacities'
-        traces.  ``component`` may be passed by callers that already
-        resolved the exact membership, avoiding a second lookup.
-
-        Single-flow components take a closed-form fast path: the lone
-        flow gets the tightest of its capacities (each carries only this
-        flow), bounded by its rate cap — the same arithmetic the general
-        loop performs, without building the solver's working sets.
-        """
-        now = self.sim.now
-        if component is None:
-            component = self._component_for(seed)
-
-        if len(component) == 1:
-            flow, = component
-            self._solve_single(flow, now)
-            if self.checker is not None:
-                self.checker.check_max_min(self, component)
-            self._update_finish(component, now)
-            if self.trace_detail == "full":
-                rate = flow.rate
-                for cap in flow.capacities:
-                    if rate != cap.last_rate:
-                        cap._record_rate(now, rate)
-            self._refresh_wakeup()
-            return
-
-        touched = self._solve_multi(component, now, seed.capacities)
-        if self.checker is not None:
-            self.checker.check_max_min(self, component)
-        self._update_finish(component, now)
-        if self.trace_detail == "full":
-            for cap in touched:
-                cap._record(now)
-        self._refresh_wakeup()
-
     def _reallocate_many(self, seeds: Sequence[Flow],
                          refresh: bool = True) -> None:
         """Recompute every distinct component touching ``seeds`` at once.
 
-        The batched twin of :meth:`_reallocate_component`: affected
-        components are resolved once (duplicate seeds and already-
-        finished flows are skipped), single-flow components are solved
-        together — in one numpy pass for large batches — multi-flow
-        components go through the exact progressive-filling solver, and
-        the kernel wakeup is refreshed a single time at the end.
+        The one solve path.  One fused pass: drain every flow's
+        remaining bytes up to now, run the max–min solver, refresh the
+        finish-heap entries and record the touched capacities' traces.
+        Affected components are resolved once (duplicate seeds and
+        already-finished flows are skipped), single-flow components are
+        solved together — in one numpy pass for large batches — multi-
+        flow components go through the exact progressive-filling solver,
+        and the kernel wakeup is refreshed a single time at the end.
         Components are disjoint, so solving them in any grouping yields
-        the same rates; every individual solve is arithmetic-identical
-        to the per-seed path.  ``refresh=False`` lets a caller that
-        refreshes the kernel wakeup itself (the wakeup handler) skip
-        the intermediate refresh.
+        the same rates.  ``refresh=False`` lets a caller that refreshes
+        the kernel wakeup itself (the wakeup handler) skip the
+        intermediate refresh.
         """
         now = self.sim.now
         flows = self._flows
@@ -637,7 +588,11 @@ class FluidScheduler:
             # observably identical to the stage-by-stage order.
             for flow in singles:
                 if not vec:
-                    # _solve_single, inlined (hot path).
+                    # Drain, then the closed-form max–min solve: the lone
+                    # flow gets the tightest of its capacities, bounded
+                    # by its rate cap.  Duplicate capacities cannot
+                    # change a min, so the raw tuple needs no set.  The
+                    # scalar reference for _solve_singles_array.
                     dt = now - flow.last_update
                     if dt > 0:
                         rem = flow.remaining - flow.rate * dt
@@ -645,6 +600,7 @@ class FluidScheduler:
                     flow.last_update = now
                     best_share = inf
                     for cap in flow.capacities:
+                        # effective_bandwidth(), inlined.
                         share = cap.bandwidth
                         nf = len(cap.flows)
                         if nf > 1 and cap.contention_alpha != 0.0:
@@ -692,37 +648,10 @@ class FluidScheduler:
             self._refresh_wakeup()
 
     @staticmethod
-    def _solve_single(flow: Flow, now: float) -> None:
-        """Drain + closed-form max–min solve for a one-flow component."""
-        dt = now - flow.last_update
-        if dt > 0:
-            rem = flow.remaining - flow.rate * dt
-            flow.remaining = rem if rem > 0.0 else 0.0
-        flow.last_update = now
-        # Iterate the raw capacities tuple: duplicates cannot change
-        # a min and re-recording a capacity at the same instant
-        # overwrites with the same value, so no set build is needed.
-        best_share = math.inf
-        for cap in flow.capacities:
-            # effective_bandwidth() inlined; exact components mean
-            # every capacity here carries only this flow (n == 1).
-            share = cap.bandwidth
-            n = len(cap.flows)
-            if n > 1 and cap.contention_alpha != 0.0:
-                share = share / (1.0 + cap.contention_alpha * (n - 1))
-            if share < best_share - _EPS:
-                best_share = share
-        rate_cap = flow.rate_cap
-        if rate_cap is not None and rate_cap < best_share - _EPS:
-            flow.rate = rate_cap
-        else:
-            flow.rate = best_share
-
-    @staticmethod
     def _solve_singles_array(singles: List[Flow], now: float) -> None:
-        """Vectorized :meth:`_solve_single` over many one-flow components.
+        """Vectorized singleton solve of :meth:`_reallocate_many`.
 
-        Every floating-point operation mirrors the scalar path — the
+        Every floating-point operation mirrors the scalar loop — the
         drain is the same subtract/clamp per element, and the capacity
         min is the same EPS-guarded running comparison applied column-
         wise (``where(share < best - EPS, share, best)``), so each
@@ -1042,7 +971,7 @@ class FluidScheduler:
         self._wakeup_time = when
         if math.isinf(when):
             return
-        evt = Event(self.sim)
+        evt = Wakeup(self.sim)
         evt.callbacks.append(self._on_wakeup)
         self.sim._schedule(evt, max(0.0, when - self.sim.now), pre_triggered=True)
         self._wakeup = evt
@@ -1121,6 +1050,7 @@ class FluidScheduler:
         the integral of each capacity's throughput trace must equal —
         the flow byte-conservation invariant.
         """
+        self.settle()
         moved = dict(self.bytes_by_capacity)
         now = self.sim.now
         for flow in self._flows:
@@ -1136,5 +1066,6 @@ class FluidScheduler:
 
     def assert_quiescent(self) -> None:
         """Raise if any flow is still active (used by tests)."""
+        self.settle()
         if self._flows:
             raise SimulationError(f"{len(self._flows)} flows still active")

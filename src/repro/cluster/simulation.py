@@ -9,11 +9,24 @@ beyond NumPy.  The kernel provides:
 * :class:`Process` — a Python generator driven by the event loop; a
   process is itself an event that triggers when the generator returns;
 * :class:`AllOf` / :class:`AnyOf` — barrier / race combinators;
+* :class:`Wakeup` — an event that sees its instant's deferred work;
 * :class:`Simulation` — the event heap and clock.
 
+Deferred work: a scheduler may queue the changes of one instant (the
+fluid scheduler queues every flow started at ``now``) and register in
+``Simulation._unsettled``.  The kernel then calls its ``settle()``
+before the clock advances, before a :class:`Wakeup` is dispatched, and
+before :meth:`Simulation.run`, :meth:`Simulation.step` or
+:meth:`Simulation.peek` returns, so no event and no caller can observe
+the queue half-done.
+
 Determinism: events scheduled at equal times are processed in schedule
-order (a monotonically increasing sequence number breaks ties), so two
-runs with the same seed produce bit-identical traces.
+order (a monotonically increasing sequence number breaks ties).  Two
+runs with the same seed therefore dispatch the same events in the same
+order.  Their traces are bit-identical when no sum depends on the
+iteration order of a set of flows, which is hashed by address: a
+contended fluid component mixing unequal rates can round its
+aggregates differently from one run to the next in one process.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "Wakeup",
     "Simulation",
     "SimulationError",
     "Interrupt",
@@ -256,6 +270,17 @@ class AnyOf(Event):
                       else SimulationError(repr(child.value)))
 
 
+class Wakeup(Event):
+    """An event whose callbacks read state that deferred work changes.
+
+    The kernel settles every unsettled scheduler before dispatching a
+    wakeup, so a wakeup made stale by work deferred earlier in its
+    instant is cancelled instead of dispatched.
+    """
+
+    __slots__ = ()
+
+
 class Simulation:
     """The event loop: a clock plus a heap of scheduled events."""
 
@@ -271,6 +296,9 @@ class Simulation:
         #: ``on_kernel_step(sim, time, event, pre_triggered, cancelled)``
         #: method, called on every heap pop.  Empty by default.
         self.observers: List = []
+        #: Schedulers holding work deferred within the current instant
+        #: (objects with a ``settle()`` that removes them from here).
+        self._unsettled: List = []
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -311,8 +339,21 @@ class Simulation:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
+    def _settle(self) -> None:
+        """Let every scheduler with deferred work finish it at ``now``."""
+        unsettled = self._unsettled
+        while unsettled:
+            unsettled[0].settle()
+
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next scheduled event, leaving its instant settled."""
+        if self._unsettled:
+            self._settle()
+        self._step()
+        if self._unsettled:
+            self._settle()
+
+    def _step(self) -> None:
         time, _seq, event, pre_triggered = heapq.heappop(self._heap)
         if time < self.now:  # pragma: no cover - guarded by _schedule
             raise SimulationError("event heap time went backwards")
@@ -333,18 +374,24 @@ class Simulation:
 
         ``until_event`` stops the loop as soon as that event has
         triggered, leaving any later-scheduled events (e.g. pending
-        fault-injection timers) un-dispatched on the heap.
+        fault-injection timers) un-dispatched on the heap.  Every path
+        returns with deferred work settled.
 
         Raises the first unhandled exception from a crashed process.
         """
+        heap = self._heap
+        unsettled = self._unsettled
         if until is None and until_event is None:
             # Common case (run to quiescence): drive the heap directly
             # instead of paying the stop-condition checks and a method
             # call per event — this loop is the whole simulation's spine.
-            heap = self._heap
             pop = heapq.heappop
             crashed = self._crashed
-            while heap:
+            while heap or unsettled:
+                if unsettled and (not heap or heap[0][0] > self.now
+                                  or type(heap[0][2]) is Wakeup):
+                    self._settle()
+                    continue
                 time, _seq, event, pre_triggered = pop(heap)
                 self.now = time
                 if event.callbacks is None:
@@ -365,24 +412,35 @@ class Simulation:
                     for cb in callbacks:
                         cb(event)
                 if crashed:
-                    _proc, err = crashed[0]
-                    crashed.clear()
-                    raise err
+                    self._raise_crash()
             return
-        while self._heap:
+        while heap or unsettled:
+            if unsettled and (not heap or heap[0][0] > self.now
+                              or type(heap[0][2]) is Wakeup):
+                self._settle()
+                continue
             if until_event is not None and until_event.triggered:
+                if unsettled:
+                    self._settle()
                 return
-            if until is not None and self._heap[0][0] > until:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 break
-            self.step()
+            self._step()
             if self._crashed:
-                _proc, err = self._crashed[0]
-                self._crashed.clear()
-                raise err
+                self._raise_crash()
         if until is not None and self.now < until:
             self.now = until
 
+    def _raise_crash(self) -> None:
+        """Settle, then raise the first unhandled process exception."""
+        self._settle()
+        _proc, err = self._crashed[0]
+        self._crashed.clear()
+        raise err
+
     def peek(self) -> float:
         """Time of the next scheduled event (inf if none)."""
+        if self._unsettled:
+            self._settle()
         return self._heap[0][0] if self._heap else float("inf")

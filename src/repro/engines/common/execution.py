@@ -612,12 +612,15 @@ class PhaseExecutor:
     def _chunk_events(self, node: Node, chunk: PhaseResources,
                       both_io: float) -> Event:
         cluster = self.cluster
-        fluid = cluster.fluid
-        requests = []
+        # All the chunk's flows start at this same instant; the fluid
+        # scheduler solves them, with every other flow of the instant,
+        # in one pass before the clock moves on.
+        transfer = cluster.fluid.transfer
+        events = []
         jitter = self._jitter()
         if chunk.cpu_core_seconds > 0:
-            requests.append((chunk.cpu_core_seconds * jitter,
-                             (node.cpu,), chunk.cpu_slots))
+            events.append(transfer(chunk.cpu_core_seconds * jitter,
+                                   (node.cpu,), chunk.cpu_slots))
         io_factor = jitter
         if both_io > 0:
             # Reads and writes interleaving on one spindle: seek
@@ -625,29 +628,25 @@ class PhaseExecutor:
             io_factor *= (1.0 + self.io_interference_penalty * both_io) * \
                 self._run_io_factor
         if chunk.disk_read_bytes > 0:
-            requests.append((chunk.disk_read_bytes * io_factor,
-                             (node.disk,)))
+            events.append(transfer(chunk.disk_read_bytes * io_factor,
+                                   (node.disk,)))
         if chunk.disk_write_bytes > 0:
-            requests.append((chunk.disk_write_bytes * io_factor,
-                             (node.disk,)))
+            events.append(transfer(chunk.disk_write_bytes * io_factor,
+                                   (node.disk,)))
         if chunk.net_in_bytes > 0:
-            requests.append((chunk.net_in_bytes * jitter,
-                             (node.nic_in,)))
+            events.append(transfer(chunk.net_in_bytes * jitter,
+                                   (node.nic_in,)))
         if chunk.net_out_bytes > 0:
-            requests.append((chunk.net_out_bytes * jitter,
-                             (node.nic_out,)))
-        # All the chunk's flows start at this same instant: one batched
-        # solve instead of a reallocation per transfer (bit-identical —
-        # nothing can observe the intermediate rates).
-        events = fluid.transfer_many(requests) if requests else []
+            events.append(transfer(chunk.net_out_bytes * jitter,
+                                   (node.nic_out,)))
         if chunk.hdfs_write_bytes > 0:
             if self.hdfs is not None:
                 events.append(self.hdfs.write_bytes(
                     node.index, chunk.hdfs_write_bytes,
                     replication=chunk.hdfs_replication))
             else:
-                events.append(fluid.transfer(chunk.hdfs_write_bytes,
-                                             [node.disk]))
+                events.append(transfer(chunk.hdfs_write_bytes,
+                                       [node.disk]))
         if not events:
             return cluster.sim.timeout(0.0)
         if len(events) == 1:

@@ -114,19 +114,20 @@ class HDFS:
         repl = self.replication if replication is None else max(1, replication)
         repl = min(repl, self.cluster.num_nodes)
         self.bytes_written += nbytes * repl
-        # The whole pipeline starts at one instant: batch the flows into
-        # a single fluid solve (bit-identical to per-flow starts).
+        # The whole pipeline starts at one instant; the fluid scheduler
+        # solves its flows, with every other flow of the instant, in one
+        # pass before the clock moves on.
+        transfer = self.cluster.fluid.transfer
         writer.charge_disk_space(nbytes)
-        requests = [(nbytes, (writer.disk,), rate_cap)]
+        events = [transfer(nbytes, (writer.disk,), rate_cap)]
         # Deterministic replica targets: next nodes in ring order.
         for r in range(1, repl):
             target_index = (writer_index + r) % self.cluster.num_nodes
             target = self.cluster.node(target_index)
             if target is writer:
                 continue
-            requests.append((nbytes, (writer.nic_out, target.nic_in),
-                             rate_cap))
+            events.append(transfer(nbytes, (writer.nic_out, target.nic_in),
+                                   rate_cap))
             target.charge_disk_space(nbytes)
-            requests.append((nbytes, (target.disk,), rate_cap))
-        events = self.cluster.fluid.transfer_many(requests)
+            events.append(transfer(nbytes, (target.disk,), rate_cap))
         return self.cluster.sim.all_of(events)

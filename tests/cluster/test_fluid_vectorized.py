@@ -4,8 +4,8 @@ Three optimisations claim exactness and are held to it here:
 
 * the numpy batch solve for single-flow components must be *bit-
   identical* to the scalar inline path it replaces;
-* :meth:`FluidScheduler.transfer_many` must be observably equivalent to
-  starting the same flows one call at a time at the same instant;
+* one process starting every flow of an instant must be observably
+  equivalent to one process per flow starting the same flows;
 * the tie-batched progressive fill (the 1000-node shortcut) must
   produce *bitwise* the same rate vector as the plain unbatched loop —
   checked against a verbatim reference port of the pre-batching solver
@@ -46,19 +46,15 @@ def _run_singleton_batch(specs):
     sim = Simulation()
     fluid = FluidScheduler(sim)
     caps = [Capacity(f"c{i}", bw) for i, (bw, _s, _rc) in enumerate(specs)]
-    requests = []
-    for i, (_bw, size, rate_cap) in enumerate(specs):
-        if rate_cap is None:
-            requests.append((size, (caps[i],)))
-        else:
-            requests.append((size, (caps[i],), rate_cap))
+    events = [fluid.transfer(size, (caps[i],), rate_cap)
+              for i, (_bw, size, rate_cap) in enumerate(specs)]
     completions = {}
 
     def waiter(i, evt):
         yield evt
         completions[i] = sim.now
 
-    for i, evt in enumerate(fluid.transfer_many(requests)):
+    for i, evt in enumerate(events):
         sim.process(waiter(i, evt))
     sim.run()
     fluid.assert_quiescent()
@@ -82,7 +78,7 @@ def test_vectorized_singles_bitwise_equal_scalar(specs):
 
 
 # ---------------------------------------------------------------------
-# transfer_many vs one transfer() per request
+# one process starting every flow vs one process per flow
 # ---------------------------------------------------------------------
 
 @st.composite
@@ -100,7 +96,7 @@ def contended_sets(draw):
     return bws, flows
 
 
-def _run_contended(bws, flows, batched):
+def _run_contended(bws, flows, one_starter):
     sim = Simulation()
     fluid = FluidScheduler(sim)
     caps = [Capacity(f"c{i}", bw) for i, bw in enumerate(bws)]
@@ -110,11 +106,15 @@ def _run_contended(bws, flows, batched):
         yield evt
         completions[i] = sim.now
 
-    if batched:
-        requests = [(size, [caps[m] for m in members])
-                    for members, size in flows]
-        for i, evt in enumerate(fluid.transfer_many(requests)):
-            sim.process(waiter(i, evt))
+    if one_starter:
+        def start_all():
+            events = [fluid.transfer(size, [caps[m] for m in members])
+                      for members, size in flows]
+            for i, evt in enumerate(events):
+                sim.process(waiter(i, evt))
+            yield sim.all_of(events)
+
+        sim.process(start_all())
     else:
         def starter(i, members, size):
             evt = fluid.transfer(size, [caps[m] for m in members])
@@ -130,10 +130,10 @@ def _run_contended(bws, flows, batched):
 
 @settings(deadline=None, max_examples=30)
 @given(contended_sets())
-def test_transfer_many_equivalent_to_sequential_transfers(data):
+def test_one_starter_equivalent_to_one_process_per_flow(data):
     bws, flows = data
-    batch, batch_bytes = _run_contended(bws, flows, batched=True)
-    seq, seq_bytes = _run_contended(bws, flows, batched=False)
+    batch, batch_bytes = _run_contended(bws, flows, one_starter=True)
+    seq, seq_bytes = _run_contended(bws, flows, one_starter=False)
     assert set(batch) == set(seq)
     for i in batch:
         assert batch[i] == pytest.approx(seq[i], rel=1e-9, abs=1e-9)
@@ -152,8 +152,9 @@ def test_property_allocation_is_max_min_fair(data):
     fluid = FluidScheduler(sim)
     caps = [Capacity(f"c{i}", bw) for i, bw in enumerate(bws)]
     # Huge sizes: inspect the instant-zero allocation before progress.
-    fluid.transfer_many([(1e15, [caps[m] for m in members])
-                         for members, _size in flows])
+    for members, _size in flows:
+        fluid.transfer(1e15, [caps[m] for m in members])
+    fluid.settle()
     # (a) feasibility: no capacity oversubscribed.
     for cap in caps:
         total = sum(f.rate for f in cap.flows)
@@ -271,14 +272,8 @@ def test_tie_batched_solve_bitwise_equals_unbatched(data):
     sim = Simulation()
     fluid = FluidScheduler(sim)
     caps = [Capacity(f"c{i}", bw) for i, bw in enumerate(bws)]
-    requests = []
     for members, rate_cap in flows:
-        caps_for = [caps[m] for m in members]
-        if rate_cap is None:
-            requests.append((1e15, caps_for))
-        else:
-            requests.append((1e15, caps_for, rate_cap))
-    fluid.transfer_many(requests)
+        fluid.transfer(1e15, [caps[m] for m in members], rate_cap)
     seen = set()
     compared = 0
     for flow in list(fluid._flows):
@@ -305,8 +300,9 @@ def test_tie_batching_engages_on_uniform_ring():
     fluid = FluidScheduler(sim)
     n = 64
     caps = [Capacity(f"c{i}", 640.0) for i in range(n)]
-    fluid.transfer_many([(1e15, [caps[i], caps[(i + 1) % n]])
-                         for i in range(n)])
+    for i in range(n):
+        fluid.transfer(1e15, [caps[i], caps[(i + 1) % n]])
+    fluid.settle()
     flow = next(iter(fluid._flows))
     component = fluid._component_for(flow)
     assert len(component) == n

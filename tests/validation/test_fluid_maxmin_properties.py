@@ -60,6 +60,7 @@ def allocate(cap_specs, flow_specs, order=None):
         sched.transfer(HUGE, [caps[i] for i in route], rate_cap=rate_cap)
         (new_flow,) = set(sched._flows) - before
         flows_by_spec[spec_idx] = new_flow
+    sched.settle()
     rates = [flows_by_spec[i].rate for i in range(len(flow_specs))]
     return rates, caps
 
