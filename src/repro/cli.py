@@ -102,23 +102,15 @@ import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from .cluster import Cluster
-from .config.presets import (ExperimentConfig, kmeans_preset,
-                             small_graph_preset, terasort_preset,
-                             wordcount_grep_preset)
 from .core import render_bar_table, render_run
 from .harness import figures as figure_registry
 from .harness.checkpoint import CheckpointError, CheckpointStore
 from .harness.runner import run_correlated
 from .hdfs import HDFS
-from .workloads import (ConnectedComponents, Grep, KMeans, PageRank,
-                        TeraSort, WordCount)
-from .workloads.datagen.graphs import (LARGE_GRAPH, MEDIUM_GRAPH,
-                                       SMALL_GRAPH)
+from .workloads.catalogue import build_config, build_workload
 
 __all__ = ["main", "build_workload", "build_config", "WORKLOADS",
            "FIGURES"]
-
-GiB = float(2**30)
 
 WORKLOADS = ["wordcount", "grep", "terasort", "kmeans", "pagerank",
              "connected-components"]
@@ -154,44 +146,6 @@ RESOURCE_FIGURES = {
     "fig16": figure_registry.fig16_pagerank_resources,
     "fig17": figure_registry.fig17_cc_resources,
 }
-
-
-def build_config(workload: str, nodes: int) -> ExperimentConfig:
-    """The paper's preset for a workload at a scale."""
-    if workload in ("wordcount", "grep"):
-        return wordcount_grep_preset(nodes)
-    if workload == "terasort":
-        return terasort_preset(nodes)
-    if workload == "kmeans":
-        return kmeans_preset(nodes)
-    if workload in ("pagerank", "connected-components"):
-        return small_graph_preset(nodes)
-    raise ValueError(f"unknown workload {workload!r}")
-
-
-def build_workload(name: str, nodes: int, graph: str = "small",
-                   iterations: Optional[int] = None):
-    """Instantiate a workload at its paper scale for ``nodes``."""
-    cfg = build_config(name, nodes)
-    graphs = {"small": SMALL_GRAPH, "medium": MEDIUM_GRAPH,
-              "large": LARGE_GRAPH}
-    if name == "wordcount":
-        return WordCount(nodes * 24 * GiB)
-    if name == "grep":
-        return Grep(nodes * 24 * GiB)
-    if name == "terasort":
-        return TeraSort(nodes * 32 * GiB,
-                        num_partitions=cfg.flink.default_parallelism)
-    if name == "kmeans":
-        return KMeans(51 * GiB, iterations=iterations or 10)
-    if name == "pagerank":
-        return PageRank(graphs[graph], iterations=iterations or 20,
-                        edge_partitions=cfg.spark.edge_partitions)
-    if name == "connected-components":
-        return ConnectedComponents(graphs[graph],
-                                   iterations=iterations or 23,
-                                   edge_partitions=cfg.spark.edge_partitions)
-    raise ValueError(f"unknown workload {name!r}")
 
 
 # ----------------------------------------------------------------------

@@ -31,12 +31,11 @@ start flows in one instant (all 200 nodes of an HDFS write starting
 their replication pipelines), the instant gets one
 :meth:`FluidScheduler._reallocate_many` pass.  That pass, like the one a
 wakeup makes for the flows it finishes, resolves every affected
-component once, solves all single-flow components together — through a
-numpy array pass when the batch is large enough — and refreshes the
-kernel wakeup a single time.  Each settle sees the membership and the
-drained bytes the last per-arrival solve of its instant would have
-seen, so rates, finish times and event counts do not depend on how an
-instant's arrivals are grouped.
+component once, gives each single-flow component its closed-form rate
+and refreshes the kernel wakeup a single time.  Each settle sees the
+membership and the drained bytes the last per-arrival solve of its
+instant would have seen, so rates, finish times and event counts do
+not depend on how an instant's arrivals are grouped.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ import heapq
 import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Set
-
-import numpy as np
 
 from .simulation import Event, Simulation, SimulationError, Wakeup
 from .trace import StepSeries
@@ -57,11 +54,6 @@ _EPS = 1e-12
 
 #: Valid ``trace_detail`` settings.
 TRACE_DETAIL_MODES = ("full", "off")
-
-#: Minimum number of single-flow components in one batch before the
-#: numpy solve pays for its gather/scatter; below it the scalar loop is
-#: faster.  Both produce bit-identical rates (see _solve_singles_array).
-_VEC_MIN_SINGLES = 8
 
 
 class Capacity:
@@ -110,10 +102,7 @@ class Capacity:
         return self.bandwidth / (1.0 + self.contention_alpha * (n - 1))
 
     def _record(self, now: float) -> None:
-        # The two appends are inlined (see StepSeries.append): this runs
-        # once per touched capacity per reallocation and the call
-        # overhead is measurable on large runs.  Timestamps are monotone
-        # by construction (the scheduler always records at sim.now).
+        """Record the aggregate rate of the flows on this capacity."""
         flows = self.flows
         nf = len(flows)
         if nf == 1:
@@ -125,6 +114,18 @@ class Capacity:
             rate = sum(())  # int 0, matching the historical idle value
         else:
             rate = sum([f.rate for f in flows])
+        self._record_rate(now, rate)
+
+    def _record_rate(self, now: float, rate: float) -> None:
+        """Record ``rate`` as this capacity's aggregate at ``now``.
+
+        Single-flow paths know the aggregate (the lone flow's rate)
+        without touching the flow set; they also consult ``last_rate``
+        first and skip the call entirely when nothing changed.  The two
+        appends are inlined (see StepSeries.append): this runs once per
+        touched capacity per reallocation.  Timestamps are monotone by
+        construction (the scheduler always records at sim.now).
+        """
         self.last_rate = rate
         series = self.throughput
         times = series.times
@@ -139,44 +140,6 @@ class Capacity:
                 # Collapsed: the rate (and bandwidth) are unchanged since
                 # the last record, so the utilisation append would collapse
                 # to the same value too — skip computing it.
-                return
-        elif rate != series.initial:
-            times.append(now)
-            values.append(rate)
-        else:
-            return
-        util = min(100.0, 100.0 * rate / self.bandwidth)
-        series = self.utilisation
-        times = series.times
-        values = series.values
-        if times:
-            if now == times[-1]:
-                values[-1] = util
-            elif values[-1] != util:
-                times.append(now)
-                values.append(util)
-        elif util != series.initial:
-            times.append(now)
-            values.append(util)
-
-    def _record_rate(self, now: float, rate: float) -> None:
-        """Exact twin of :meth:`_record` for a rate the caller knows.
-
-        Single-flow fast paths know the aggregate (the lone flow's rate)
-        without touching the flow set; they also consult ``last_rate``
-        first and skip the call entirely when nothing changed.
-        """
-        self.last_rate = rate
-        series = self.throughput
-        times = series.times
-        values = series.values
-        if times:
-            if now == times[-1]:
-                values[-1] = rate
-            elif values[-1] != rate:
-                times.append(now)
-                values.append(rate)
-            else:
                 return
         elif rate != series.initial:
             times.append(now)
@@ -277,9 +240,8 @@ class FluidScheduler:
     single-flow components take a closed-form fast path through the
     max–min solver.  Arrivals are queued and settled once per instant;
     the settle and the wakeup handler both go through
-    :meth:`_reallocate_many`, which resolves all affected components once
-    and solves the single-flow ones together — via one numpy pass for
-    large batches — with bit-identical results.
+    :meth:`_reallocate_many`, which resolves all affected components
+    once.
     """
 
     def __init__(self, sim: Simulation, trace_detail: str = "full") -> None:
@@ -303,11 +265,6 @@ class FluidScheduler:
         #: Optional :class:`repro.validation.InvariantChecker`; when set,
         #: every max–min reallocation is audited for fairness on the spot.
         self.checker = None
-        #: Optional callback ``(flow, now)`` invoked for every flow that
-        #: completes, after rates are consistent but before completion
-        #: events are delivered.  Used by the span tracer's flow-detail
-        #: mode; it must only *read* the flow (no scheduling).
-        self.flow_hook = None
 
     # ------------------------------------------------------------------
     # public API
@@ -534,17 +491,16 @@ class FluidScheduler:
                          refresh: bool = True) -> None:
         """Recompute every distinct component touching ``seeds`` at once.
 
-        The one solve path.  One fused pass: drain every flow's
-        remaining bytes up to now, run the max–min solver, refresh the
-        finish-heap entries and record the touched capacities' traces.
-        Affected components are resolved once (duplicate seeds and
-        already-finished flows are skipped), single-flow components are
-        solved together — in one numpy pass for large batches — multi-
-        flow components go through the exact progressive-filling solver,
-        and the kernel wakeup is refreshed a single time at the end.
-        Components are disjoint, so solving them in any grouping yields
-        the same rates.  ``refresh=False`` lets a caller that refreshes
-        the kernel wakeup itself (the wakeup handler) skip the
+        The one solve path: drain every flow's remaining bytes up to
+        now, run the max–min solver, refresh the finish-heap entries and
+        record the touched capacities' traces.  Affected components are
+        resolved once (duplicate seeds and already-finished flows are
+        skipped), a single-flow component gets its closed-form rate,
+        multi-flow components go through the exact progressive-filling
+        solver, and the kernel wakeup is refreshed a single time at the
+        end.  Components are disjoint, so solving them in any grouping
+        yields the same rates.  ``refresh=False`` lets a caller that
+        refreshes the kernel wakeup itself (the wakeup handler) skip the
         intermediate refresh.
         """
         now = self.sim.now
@@ -576,63 +532,40 @@ class FluidScheduler:
         checker = self.checker
         full = self.trace_detail == "full"
         if singles:
-            heap = self._finish_heap
             inf = math.inf
-            push = heapq.heappush
-            vec = len(singles) >= _VEC_MIN_SINGLES
-            if vec:
-                self._solve_singles_array(singles, now)
-            # One fused pass per flow: solve (unless vectorized above),
-            # audit, refresh the finish-heap entry and record the trace.
-            # Singles are disjoint components, so per-flow fusion is
-            # observably identical to the stage-by-stage order.
             for flow in singles:
-                if not vec:
-                    # Drain, then the closed-form max–min solve: the lone
-                    # flow gets the tightest of its capacities, bounded
-                    # by its rate cap.  Duplicate capacities cannot
-                    # change a min, so the raw tuple needs no set.  The
-                    # scalar reference for _solve_singles_array.
-                    dt = now - flow.last_update
-                    if dt > 0:
-                        rem = flow.remaining - flow.rate * dt
-                        flow.remaining = rem if rem > 0.0 else 0.0
-                    flow.last_update = now
-                    best_share = inf
-                    for cap in flow.capacities:
-                        # effective_bandwidth(), inlined.
-                        share = cap.bandwidth
-                        nf = len(cap.flows)
-                        if nf > 1 and cap.contention_alpha != 0.0:
-                            share = share / (
-                                1.0 + cap.contention_alpha * (nf - 1))
-                        if share < best_share - _EPS:
-                            best_share = share
-                    rate_cap = flow.rate_cap
-                    if rate_cap is not None and rate_cap < best_share - _EPS:
-                        flow.rate = rate_cap
-                    else:
-                        flow.rate = best_share
+                # Drain, then the closed-form max–min solve: the lone
+                # flow gets the tightest of its capacities, bounded by
+                # its rate cap.  Duplicate capacities cannot change a
+                # min, so the raw tuple needs no set.
+                dt = now - flow.last_update
+                if dt > 0:
+                    rem = flow.remaining - flow.rate * dt
+                    flow.remaining = rem if rem > 0.0 else 0.0
+                flow.last_update = now
+                best_share = inf
+                for cap in flow.capacities:
+                    # effective_bandwidth(), inlined.
+                    share = cap.bandwidth
+                    nf = len(cap.flows)
+                    if nf > 1 and cap.contention_alpha != 0.0:
+                        share = share / (
+                            1.0 + cap.contention_alpha * (nf - 1))
+                    if share < best_share - _EPS:
+                        best_share = share
+                rate_cap = flow.rate_cap
+                if rate_cap is not None and rate_cap < best_share - _EPS:
+                    flow.rate = rate_cap
+                else:
+                    flow.rate = best_share
                 if checker is not None:
                     checker.check_max_min(self, (flow,))
-                # _update_finish, inlined.
-                rate = flow.rate
-                remaining = flow.remaining
-                if rate > _EPS:
-                    finish = now + remaining / rate
-                elif remaining <= _EPS:
-                    finish = now
-                else:
-                    finish = inf
-                if finish == inf:
-                    if flow.heap_finish != inf:
-                        flow.rate_stamp += 1
-                        flow.heap_finish = inf
-                elif finish != flow.heap_finish:
-                    flow.rate_stamp += 1
-                    flow.heap_finish = finish
-                    push(heap, (finish, flow.id, flow, flow.rate_stamp))
-                if full:
+            self._update_finish(singles, now)
+            if full:
+                # Singles are disjoint components: no capacity carries
+                # two of them, so the lone flow's rate is its aggregate.
+                for flow in singles:
+                    rate = flow.rate
                     for cap in flow.capacities:
                         if rate != cap.last_rate:
                             cap._record_rate(now, rate)
@@ -646,74 +579,6 @@ class FluidScheduler:
                     cap._record(now)
         if refresh:
             self._refresh_wakeup()
-
-    @staticmethod
-    def _solve_singles_array(singles: List[Flow], now: float) -> None:
-        """Vectorized singleton solve of :meth:`_reallocate_many`.
-
-        Every floating-point operation mirrors the scalar loop — the
-        drain is the same subtract/clamp per element, and the capacity
-        min is the same EPS-guarded running comparison applied column-
-        wise (``where(share < best - EPS, share, best)``), so each
-        flow sees its capacities in the same order with the same
-        comparisons.  numpy's elementwise double arithmetic is IEEE-754
-        identical to CPython's scalar arithmetic, which makes the two
-        paths bit-for-bit interchangeable (property-tested in
-        tests/cluster/test_fluid_vectorized.py).  No reductions
-        (``np.sum`` pairwise summation would not be) are used.
-        """
-        n = len(singles)
-        rem = np.empty(n)
-        rate = np.empty(n)
-        last = np.empty(n)
-        rcap = np.empty(n)
-        max_caps = 1
-        for i, f in enumerate(singles):
-            rem[i] = f.remaining
-            rate[i] = f.rate
-            last[i] = f.last_update
-            rc = f.rate_cap
-            rcap[i] = math.inf if rc is None else rc
-            c = len(f.capacities)
-            if c > max_caps:
-                max_caps = c
-        dt = now - last
-        drained = rem - rate * dt
-        rem = np.where(dt > 0.0, np.where(drained > 0.0, drained, 0.0), rem)
-        if max_caps == 1:
-            # One capacity per flow: the running min is just that share
-            # (inf < share - EPS never holds for the initial inf).
-            best = np.empty(n)
-            for i, f in enumerate(singles):
-                cap = f.capacities[0]
-                share = cap.bandwidth
-                nf = len(cap.flows)
-                if nf > 1 and cap.contention_alpha != 0.0:
-                    share = share / (1.0 + cap.contention_alpha * (nf - 1))
-                best[i] = share
-        else:
-            best = np.full(n, math.inf)
-            col = np.empty(n)
-            for j in range(max_caps):
-                col.fill(math.inf)
-                for i, f in enumerate(singles):
-                    caps = f.capacities
-                    if j < len(caps):
-                        cap = caps[j]
-                        share = cap.bandwidth
-                        nf = len(cap.flows)
-                        if nf > 1 and cap.contention_alpha != 0.0:
-                            share = share / (
-                                1.0 + cap.contention_alpha * (nf - 1))
-                        col[i] = share
-                best = np.where(col < best - _EPS, col, best)
-        rates = np.where(rcap < best - _EPS, rcap, best)
-        rem_list = rem.tolist()
-        rate_list = rates.tolist()
-        for i, f in enumerate(singles):
-            f.remaining = rem_list[i]
-            f.last_update = now
-            f.rate = rate_list[i]
 
     @staticmethod
     def _solve_multi(component: Set[Flow], now: float, force=None):
@@ -1033,10 +898,6 @@ class FluidScheduler:
                 if cap.last_rate != 0 and not cap.flows:
                     cap._record_rate(now, 0)
         # Deliver completions after rates are consistent.
-        hook = self.flow_hook
-        if hook is not None:
-            for flow in finished:
-                hook(flow, now)
         for flow in finished:
             flow.done.succeed(now - flow.started_at)
         self._refresh_wakeup()

@@ -116,11 +116,6 @@ class MemoryAccount:
                     f"{acct.path}: releasing {amount} > {acct.used} used")
             acct._apply(-min(amount, acct.used))
 
-    def release_all(self) -> None:
-        """Release everything charged directly to this account."""
-        if self.used > 0:
-            self.release(self.used)
-
     # ------------------------------------------------------------------
     def _chain(self) -> List["MemoryAccount"]:
         chain = []

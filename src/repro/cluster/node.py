@@ -5,7 +5,8 @@ The paper's testbed (§V): each node has 2× Intel Xeon E5-2630 v3
 10 Gbps Ethernet.  :class:`HardwareSpec` captures those constants and
 :class:`Node` instantiates the corresponding simulated resources:
 
-* ``cores``    — a :class:`~repro.cluster.resources.CorePool`;
+* ``cpu``      — a fluid :class:`~repro.cluster.fluid.Capacity` in
+  core-seconds per second (``spec.cores`` of them);
 * ``disk``     — one :class:`~repro.cluster.fluid.Capacity` shared by
   reads and writes (it is a single spindle/device);
 * ``nic_in`` / ``nic_out`` — full-duplex NIC directions;
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 from .fluid import Capacity
 from .memory import MemoryAccount
-from .resources import CorePool
 from .simulation import Simulation
 
 __all__ = ["HardwareSpec", "GRID5000_PARAVANCE", "Node"]
@@ -70,8 +70,7 @@ class Node:
         self.index = index
         self.name = f"node-{index:03d}"
         self.spec = spec
-        self.cores = CorePool(sim, spec.cores, name=f"{self.name}.cpu")
-        # Fluid view of the same CPUs: bandwidth is core-seconds per
+        # The CPUs as a fluid capacity: bandwidth is core-seconds per
         # second.  Engine phases model their compute as flows on this
         # capacity (rate-capped by their task slots), which composes
         # naturally with max-min sharing and yields the CPU% traces.

@@ -1,7 +1,7 @@
 """Step-function time series used for all simulated resource metrics.
 
-Every resource in the cluster simulator (CPU core pools, fluid bandwidth
-capacities, memory accounts) records its state changes as a
+Every resource in the cluster simulator (fluid bandwidth capacities,
+CPU included, and memory accounts) records its state changes as a
 :class:`StepSeries`: a piecewise-constant function of simulated time.
 The monitoring layer later resamples these series onto a uniform grid to
 produce the CPU% / disk util% / MiB/s plots from the paper.
@@ -90,10 +90,6 @@ class StepSeries:
     @property
     def last_value(self) -> float:
         return self.values[-1] if self.values else self.initial
-
-    @property
-    def last_time(self) -> float:
-        return self.times[-1] if self.times else 0.0
 
     def integral(self, start: float, end: float) -> float:
         """Integral of the series over ``[start, end]``."""

@@ -123,16 +123,6 @@ class CorrelatedRun:
             out.append("network")
         return out or ["idle"]
 
-    def cpu_disk_anti_correlation(self, start: Optional[float] = None,
-                                  end: Optional[float] = None) -> float:
-        """Correlation between CPU% and disk util% over a window."""
-        start = self.result.start if start is None else start
-        end = self.result.end if end is None else end
-        cpu = self.frames[Metric.CPU_PERCENT].values_between(start, end)
-        disk = self.frames[Metric.DISK_UTIL_PERCENT].values_between(start, end)
-        n = min(len(cpu), len(disk))
-        return anti_correlation(cpu[:n], disk[:n])
-
 
 def correlate(cluster: Cluster, result: EngineRunResult,
               step: float = 1.0) -> CorrelatedRun:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from .stats import DataStats
 
@@ -238,18 +238,6 @@ class LogicalPlan:
             edges.append(current)
         return edges
 
-    def operator_names(self) -> List[str]:
-        return [op.name for op in self.ops]
-
-    def wide_ops(self) -> List[Op]:
-        return [op for op in self.ops if op.wide]
-
     def __repr__(self) -> str:
         chain = " -> ".join(op.name for op in self.ops)
         return f"LogicalPlan({self.name}: {chain})"
-
-
-def linear_plan(name: str, input_stats: DataStats,
-                ops: Sequence[Op]) -> LogicalPlan:
-    """Convenience constructor used by the workloads."""
-    return LogicalPlan(input_stats=input_stats, ops=list(ops), name=name)

@@ -57,25 +57,13 @@ class Segment:
     def input_stats(self) -> DataStats:
         return self.in_stats[0]
 
-    def display_name(self, extra_tail: Optional[str] = None,
-                     rename: Optional[dict] = None) -> str:
-        names = []
-        for op in self.ops:
-            if op.hidden:
-                continue
-            label = (rename or {}).get(op.name, op.name)
-            names.append(label)
-        if extra_tail:
-            names.append(extra_tail)
-        return "->".join(names)
+    def display_name(self) -> str:
+        return "->".join(op.name for op in self.ops if not op.hidden)
 
     def key(self) -> str:
         """Short label: initials of the display chain (e.g. ``DC``)."""
         parts = self.display_name().split("->")
         return "".join(p[0] for p in parts if p)
-
-    def contains_kind(self, kind: OpKind) -> bool:
-        return any(op.kind is kind for op in self.ops)
 
     def __repr__(self) -> str:
         return f"Segment({self.display_name()})"

@@ -132,9 +132,6 @@ class SparkMemoryModel:
             return 1.0
         return min(1.0, rdd.logical_bytes / per_node)
 
-    def evict(self, name: str) -> None:
-        self.cached.pop(name, None)
-
     @property
     def storage_used(self) -> float:
         return sum(r.heap_bytes for r in self.cached.values())

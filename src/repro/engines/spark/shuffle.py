@@ -37,14 +37,6 @@ class ShuffleSpec:
     #: Extra disk traffic from sort spills (written then re-read).
     spill_bytes: float
 
-    @property
-    def total_disk_write(self) -> float:
-        return self.wire_bytes + self.spill_bytes
-
-    @property
-    def total_disk_read(self) -> float:
-        return self.wire_bytes + self.spill_bytes
-
 
 def plan_shuffle(data: DataStats, config: SparkConfig, costs: CostModel,
                  num_nodes: int, binary: bool = False) -> ShuffleSpec:

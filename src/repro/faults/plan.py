@@ -60,12 +60,6 @@ class FaultEvent:
             out[f.name] = getattr(self, f.name)
         return out
 
-    def with_time(self, at: float) -> "FaultEvent":
-        cls = type(self)
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs["at"] = at
-        return cls(**kwargs)
-
     def describe(self) -> str:
         return f"t={self.at:.1f}s node {self.node}: {self.kind}"
 

@@ -25,13 +25,27 @@ when a store is given.
 
 from __future__ import annotations
 
+import os
+import time
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..validation.digest import digest_payload
 from .checkpoint import CheckpointStore
 from .parallel import robust_map
 
-__all__ = ["run_campaign"]
+__all__ = ["run_campaign", "cell_delay", "ENV_CELL_DELAY"]
+
+#: Test hook: wall-clock seconds each campaign cell sleeps before it
+#: simulates.  It stretches a campaign's wall time for the
+#: kill-and-resume tests without touching any simulated value.
+ENV_CELL_DELAY = "REPRO_CELL_DELAY"
+
+
+def cell_delay() -> None:
+    """Sleep ``$REPRO_CELL_DELAY`` seconds; cell functions call it first."""
+    delay = float(os.environ.get(ENV_CELL_DELAY, "0") or 0)
+    if delay > 0:
+        time.sleep(delay)
 
 
 def run_campaign(fn: Callable[..., Any], cells: Iterable[Tuple[Any, Tuple]],

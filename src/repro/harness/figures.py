@@ -524,14 +524,6 @@ class FaultCell:
     #: of the golden digests.)
     sim_events: Optional[int] = None
 
-    @property
-    def simulated_overhead(self) -> float:
-        return self.simulated_seconds - self.baseline_seconds
-
-    @property
-    def analytic_overhead(self) -> float:
-        return self.analytic_seconds - self.baseline_seconds
-
 
 @dataclass
 class FaultFigure:
@@ -540,9 +532,6 @@ class FaultFigure:
     figure_id: str
     title: str
     cells: List[FaultCell]
-
-    def of_engine(self, engine: str) -> List[FaultCell]:
-        return [c for c in self.cells if c.engine == engine]
 
 
 def _fault_cells_task(engine: str, workload: Workload,

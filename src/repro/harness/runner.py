@@ -122,7 +122,6 @@ def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
         checker.attach(cluster)
     if tracer is not None:
         cluster.tracer = tracer
-        cluster.fluid.flow_hook = tracer.on_flow_complete
     hdfs = HDFS(cluster, block_size=config.hdfs_block_size, seed=seed)
     for path, size in workload.input_files():
         hdfs.create_file(path, size)
@@ -203,8 +202,7 @@ class TracedRun:
 
 def run_traced(engine_name: str, workload: Workload,
                config: ExperimentConfig, seed: int = 0,
-               strict: Optional[bool] = None,
-               record_flows: bool = False) -> TracedRun:
+               strict: Optional[bool] = None) -> TracedRun:
     """Run once with a span tracer attached and analyse the tree.
 
     Returns a :class:`TracedRun` bundling the span tree, its critical
@@ -213,7 +211,7 @@ def run_traced(engine_name: str, workload: Workload,
     traced runs across processes.  Raises on failed runs — a failure
     aborts mid-tree and there is nothing coherent to analyse.
     """
-    tracer = SpanTracer(record_flows=record_flows)
+    tracer = SpanTracer()
     result = run_once(engine_name, workload, config, seed=seed,
                       keep_deployment=True, strict=strict, tracer=tracer)
     deployment: Deployment = result.metrics.pop("_deployment")

@@ -19,10 +19,10 @@ from .critical_path import (CriticalPath, PathSegment,
                             extract_critical_path)
 from .exporters import (chrome_trace_json, chrome_trace_payload,
                         critical_path_csv, spans_csv)
-from .spans import SPAN_KINDS, FlowRecord, Span, SpanTracer, SpanTree
+from .spans import SPAN_KINDS, Span, SpanTracer, SpanTree
 
 __all__ = [
-    "Span", "SpanTracer", "SpanTree", "FlowRecord", "SPAN_KINDS",
+    "Span", "SpanTracer", "SpanTree", "SPAN_KINDS",
     "CriticalPath", "PathSegment", "extract_critical_path",
     "SpanAttribution", "attribute_span", "attribute_spans",
     "chrome_trace_payload", "chrome_trace_json", "spans_csv",

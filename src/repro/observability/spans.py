@@ -31,9 +31,9 @@ Design constraints, in force everywhere the tracer is wired:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-__all__ = ["Span", "SpanTracer", "SpanTree", "FlowRecord", "SPAN_KINDS"]
+__all__ = ["Span", "SpanTracer", "SpanTree", "SPAN_KINDS"]
 
 #: Valid span kinds, outermost first.  A child's kind must sit strictly
 #: deeper than its parent's (a task cannot contain an operator).
@@ -78,20 +78,6 @@ class Span:
                 f"[{self.start:.3f}, {self.end:.3f}]{where})")
 
 
-@dataclass
-class FlowRecord:
-    """One completed fluid flow (optional leaf detail below tasks)."""
-
-    start: float
-    end: float
-    size: float
-    capacities: Tuple[str, ...]
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 class SpanTracer:
     """Records the span tree of one simulated run.
 
@@ -103,10 +89,8 @@ class SpanTracer:
     — the tracer never looks at a clock itself.
     """
 
-    def __init__(self, record_flows: bool = False) -> None:
+    def __init__(self) -> None:
         self.spans: List[Span] = []
-        self.flows: List[FlowRecord] = []
-        self.record_flows = record_flows
         self._stack: List[Span] = []
         self._next_id = 0
 
@@ -172,14 +156,6 @@ class SpanTracer:
         """The innermost open span (the default parent)."""
         return self._stack[-1] if self._stack else None
 
-    def on_flow_complete(self, flow, now: float) -> None:
-        """:attr:`repro.cluster.fluid.FluidScheduler.flow_hook` target:
-        record the flow's lifetime and route (when enabled)."""
-        if self.record_flows:
-            self.flows.append(FlowRecord(
-                start=flow.started_at, end=now, size=flow.size,
-                capacities=tuple(c.name for c in flow.capacities)))
-
     def _make(self, kind: str, name: str, start: float, end: float,
               key: str = "", node: Optional[int] = None,
               iteration: Optional[int] = None,
@@ -201,16 +177,14 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def tree(self) -> "SpanTree":
         """Freeze the recorded spans into an indexed tree."""
-        return SpanTree(list(self.spans), flows=list(self.flows))
+        return SpanTree(list(self.spans))
 
 
 class SpanTree:
     """An indexed, queryable view over a recorded span list."""
 
-    def __init__(self, spans: List[Span],
-                 flows: Optional[List[FlowRecord]] = None) -> None:
+    def __init__(self, spans: List[Span]) -> None:
         self.spans = sorted(spans, key=lambda s: s.id)
-        self.flows = flows or []
         self._by_id: Dict[int, Span] = {s.id: s for s in self.spans}
         self._children: Dict[Optional[int], List[Span]] = {}
         for span in self.spans:
@@ -319,7 +293,11 @@ class SpanTree:
     # serialisation (digest-friendly, picklable anyway)
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, object]:
-        """JSON-ish payload (see :mod:`repro.validation.digest`)."""
+        """JSON-ish payload (see :mod:`repro.validation.digest`).
+
+        ``"flows"`` is always empty; the key stays because the trace01
+        golden digest covers it.
+        """
         return {
             "spans": [
                 {
@@ -330,11 +308,7 @@ class SpanTree:
                     "meta": dict(sorted(s.meta.items())),
                 } for s in self.spans
             ],
-            "flows": [
-                {"start": f.start, "end": f.end, "size": f.size,
-                 "capacities": list(f.capacities)}
-                for f in self.flows
-            ],
+            "flows": [],
         }
 
     @classmethod

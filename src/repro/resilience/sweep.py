@@ -29,15 +29,13 @@ reproduces the uninterrupted digests exactly.
 from __future__ import annotations
 
 import math
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config.presets import (ExperimentConfig, GiB, kmeans_preset,
                               small_graph_preset, terasort_preset,
                               wordcount_grep_preset)
-from ..harness.campaign import run_campaign
+from ..harness.campaign import cell_delay, run_campaign
 from ..harness.checkpoint import CheckpointStore
 from ..harness.parallel import TaskFailure
 from ..validation.invariants import strict_enabled
@@ -49,11 +47,6 @@ from .stochastic import StochasticFaultModel
 
 __all__ = ["ResilienceCell", "ResilienceCurve", "ResilienceFigure",
            "default_workloads", "resilience_sweep"]
-
-#: Test hook: wall-clock seconds to sleep per cell (stretches campaign
-#: wall time for the kill-and-resume tests without touching any
-#: simulated value).
-ENV_DELAY = "REPRO_RESILIENCE_DELAY"
 
 ENGINES = ("flink", "spark")
 
@@ -149,9 +142,7 @@ def _cell_task(engine: str, workload: Workload, config: ExperimentConfig,
     across worker processes and journals into a checkpoint store."""
     from ..faults import FlinkRestartPolicy, RetryPolicy, run_with_faults
     from ..harness.runner import run_once
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     model = StochasticFaultModel.from_rate(rate).with_(
         stragglers=stragglers)
     plan = model.compile(seed, config.nodes)

@@ -30,12 +30,10 @@ bit-identical at any ``--jobs``.
 from __future__ import annotations
 
 import math
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..harness.campaign import run_campaign
+from ..harness.campaign import cell_delay, run_campaign
 from ..harness.checkpoint import CheckpointStore
 from ..harness.parallel import TaskFailure
 from ..validation.invariants import strict_enabled
@@ -46,11 +44,6 @@ from .policies import POLICY_NAMES, QueueConfig, make_policy
 
 __all__ = ["TenancyCell", "TenancyFigure", "default_queues",
            "default_templates", "tenancy_sweep"]
-
-#: Test hook: wall-clock seconds to sleep per cell (stretches campaign
-#: wall time for the kill-and-resume tests without touching any
-#: simulated value).
-ENV_DELAY = "REPRO_TENANCY_DELAY"
 
 DEFAULT_LOADS = (0.3, 0.6, 0.9)
 DEFAULT_POLICIES = POLICY_NAMES
@@ -164,9 +157,7 @@ def _cell_task(policy_name: str, load: float, trial: int, cell_seed: int,
                jobs_target: int, strict: bool) -> Dict[str, Any]:
     """Run one tenancy cell; module-level and JSON-in/out so it fans
     across worker processes and journals into a checkpoint store."""
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     templates = tuple(JobTemplate(**p) for p in templates_payload)
     queues = tuple(QueueConfig(**p) for p in queues_payload)
     work = mean_job_work(templates, services)

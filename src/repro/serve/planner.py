@@ -46,9 +46,7 @@ from ..config.presets import CORES_PER_NODE, ExperimentConfig
 from ..engines.common.serialization import Serializer
 from ..harness.parallel import resolve_jobs
 from ..validation.digest import digest_payload
-from ..workloads import (ConnectedComponents, Grep, KMeans, PageRank,
-                         TeraSort, WordCount)
-from ..workloads.datagen.graphs import SMALL_GRAPH
+from ..workloads.catalogue import build_config, build_workload
 from .cache import DigestCache
 from .pool import AsyncWorkerPool, TaskFailed
 
@@ -56,8 +54,6 @@ __all__ = ["PlanError", "CapacityQuery", "candidate_descriptors",
            "candidate_digest", "evaluate_candidate", "evaluate_on_pool",
            "plan_capacity_async", "plan_capacity_sync",
            "PLAN_WORKLOADS", "ENGINES"]
-
-GiB = float(2**30)
 
 PLAN_WORKLOADS = ("wordcount", "grep", "terasort", "kmeans", "pagerank",
                   "connected-components")
@@ -172,33 +168,8 @@ class CapacityQuery:
 
 
 # ----------------------------------------------------------------------
-# workload + config construction (scale-aware)
+# configuration overrides
 # ----------------------------------------------------------------------
-def build_plan_workload(name: str, nodes: int, data_scale: float = 1.0):
-    """The paper-scale workload for ``nodes``, optionally shrunk."""
-    if name == "wordcount":
-        return WordCount(nodes * 24 * GiB * data_scale)
-    if name == "grep":
-        return Grep(nodes * 24 * GiB * data_scale)
-    if name == "terasort":
-        from ..cli import build_config as _cfg
-        cfg = _cfg("terasort", nodes)
-        return TeraSort(nodes * 32 * GiB * data_scale,
-                        num_partitions=cfg.flink.default_parallelism)
-    if name == "kmeans":
-        return KMeans(51 * GiB * data_scale, iterations=10)
-    if name in ("pagerank", "connected-components"):
-        from ..cli import build_config as _cfg
-        cfg = _cfg(name, nodes)
-        if name == "pagerank":
-            return PageRank(SMALL_GRAPH, iterations=20,
-                            edge_partitions=cfg.spark.edge_partitions)
-        return ConnectedComponents(
-            SMALL_GRAPH, iterations=23,
-            edge_partitions=cfg.spark.edge_partitions)
-    raise PlanError(f"unknown workload {name!r}")
-
-
 def apply_overrides(config: ExperimentConfig, engine: str,
                     overrides: Dict[str, Any]) -> ExperimentConfig:
     """Apply a descriptor's whitelisted knob overrides to a preset."""
@@ -262,10 +233,9 @@ def _repair_overrides(engine: str, config: ExperimentConfig, nodes: int,
 def candidate_descriptors(query: CapacityQuery,
                           nodes: int) -> List[Dict[str, Any]]:
     """The deterministic candidate set for one cluster size."""
-    from ..cli import build_config  # local import: cli imports us not
     descs: List[Dict[str, Any]] = []
-    workload = build_plan_workload(query.workload, nodes,
-                                   query.data_scale)
+    workload = build_workload(query.workload, nodes,
+                              data_scale=query.data_scale)
     base_config = build_config(query.workload, nodes)
     for engine in query.engines:
         variants: List[Dict[str, Any]] = [{}]
@@ -302,10 +272,9 @@ def evaluate_candidate(desc: Dict[str, Any]) -> Dict[str, Any]:
     but does raise on simulator bugs (which :func:`evaluate_on_pool`
     reports as a :func:`worker_failure` cell).
     """
-    from ..cli import build_config
     from ..harness.runner import run_once
-    workload = build_plan_workload(desc["workload"], desc["nodes"],
-                                   desc.get("data_scale", 1.0))
+    workload = build_workload(desc["workload"], desc["nodes"],
+                              data_scale=desc.get("data_scale", 1.0))
     try:
         config = apply_overrides(build_config(desc["workload"],
                                               desc["nodes"]),

@@ -54,12 +54,13 @@ import signal
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..config.parameters import ConfigError
+from ..workloads.catalogue import build_config, build_workload
 from .breaker import CircuitBreaker
 from .cache import DigestCache
 from .ledger import ServingLedger
 from .planner import (CapacityQuery, PlanError, apply_overrides,
-                      build_plan_workload, evaluate_on_pool,
-                      plan_capacity_async, _advice_payload, _advise)
+                      evaluate_on_pool, plan_capacity_async,
+                      _advice_payload, _advise)
 from .pool import AsyncWorkerPool, PoolError
 
 __all__ = ["AdvisorService", "MAX_BODY_BYTES"]
@@ -107,7 +108,6 @@ class AdvisorService:
                  task_timeout: float = 30.0, retries: int = 1,
                  breaker_threshold: int = 5,
                  breaker_reset: float = 0.5,
-                 breaker_max_reset: float = 30.0,
                  drain_grace: float = 10.0,
                  cache_store=None, clock=None, chaos=None) -> None:
         if queue_limit < 1:
@@ -125,7 +125,7 @@ class AdvisorService:
             breaker_kw["clock"] = clock
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, reset_timeout=breaker_reset,
-            max_timeout=breaker_max_reset,
+            max_timeout=30.0,
             on_transition=self._on_breaker_transition, **breaker_kw)
         self.pool = AsyncWorkerPool(
             jobs=jobs, task_timeout=task_timeout, retries=retries,
@@ -367,7 +367,6 @@ class AdvisorService:
             self.ledger.in_flight -= 1
 
     def _advise_payload(self, body: Optional[Any]) -> Dict[str, Any]:
-        from ..cli import build_config
         if not isinstance(body, dict):
             raise _BadRequest(400, "advise body must be a JSON object")
         try:
@@ -385,7 +384,7 @@ class AdvisorService:
             config = apply_overrides(
                 build_config(workload, nodes), engine,
                 dict(body.get("overrides") or {}))
-            plan_wl = build_plan_workload(workload, nodes)
+            plan_wl = build_workload(workload, nodes)
         except (PlanError, ConfigError, ValueError) as exc:
             raise _BadRequest(400, str(exc)) from None
         advice = _advise(engine, config, nodes,

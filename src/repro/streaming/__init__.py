@@ -32,9 +32,8 @@ from .policies import (DEGRADE_POLICIES, RESTART_STRATEGIES,
 from .sweep import (DEFAULT_CHECKPOINT_INTERVALS, DEFAULT_DURATION,
                     DEFAULT_FAULT_RATES, DEFAULT_LOAD_FRACTIONS,
                     DEFAULT_LOAD_MULTIPLES, FIG21_CRASH_AT,
-                    FIG21_LOAD_FRACTION, DegradationFigure, DegradeCell,
-                    StreamingCell, StreamingFigure, degradation_sweep,
-                    streaming_sweep)
+                    FIG21_LOAD_FRACTION, DegradeCell, StreamingCell,
+                    StreamingFigure, degradation_sweep, streaming_sweep)
 
 __all__ = [
     "StreamingResult", "StreamingWorkloadModel", "max_stable_throughput",
@@ -52,6 +51,6 @@ __all__ = [
     "StreamingCell", "StreamingFigure", "streaming_sweep",
     "DEFAULT_LOAD_FRACTIONS", "DEFAULT_CHECKPOINT_INTERVALS",
     "FIG21_LOAD_FRACTION", "FIG21_CRASH_AT", "DEFAULT_DURATION",
-    "DegradeCell", "DegradationFigure", "degradation_sweep",
+    "DegradeCell", "degradation_sweep",
     "DEFAULT_LOAD_MULTIPLES", "DEFAULT_FAULT_RATES",
 ]

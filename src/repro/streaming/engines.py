@@ -524,9 +524,9 @@ def _continuous_slice_proc(cluster: Cluster, state: _StreamState,
 
 def _continuous_driver(cluster: Cluster, state: _StreamState,
                        model: StreamingWorkloadModel,
-                       checkpoint_interval: float, barrier_sync: float,
-                       queue_depth: int, cursor: _CrashCursor,
-                       shedding, crash_log: Dict[str, Any]):
+                       checkpoint_interval: float, queue_depth: int,
+                       cursor: _CrashCursor, shedding,
+                       crash_log: Dict[str, Any]):
     sim = cluster.sim
     plan = state.plan
     tracer = cluster.tracer
@@ -618,7 +618,7 @@ def _continuous_driver(cluster: Cluster, state: _StreamState,
                 # Aligned barrier: the pipeline stalls while operators
                 # align and snapshot; the checkpoint pins the replay
                 # point for failure recovery.
-                yield sim.timeout(barrier_sync)
+                yield sim.timeout(DEFAULT_BARRIER_SYNC)
                 state.checkpoints += 1
                 state.ckpt_watermark = state.watermark
                 barriers.append((sim.now, state.watermark))
@@ -906,7 +906,6 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
                   spec: HardwareSpec = GRID5000_PARAVANCE, seed: int = 0,
                   batch_interval: float = 1.0,
                   checkpoint_interval: float = 10.0,
-                  barrier_sync: float = DEFAULT_BARRIER_SYNC,
                   network_buffers: int = 2048, parallelism: int = 16,
                   crash_at: Optional[float] = None,
                   crash_times: Optional[Sequence[float]] = None,
@@ -988,8 +987,8 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
         if tracer is not None:
             job_span = tracer.begin("job", "continuous-pipeline", 0.0)
         driver = _continuous_driver(
-            cluster, state, model, checkpoint_interval, barrier_sync,
-            depth, cursor, shedding, crash_log)
+            cluster, state, model, checkpoint_interval, depth, cursor,
+            shedding, crash_log)
     elif batch_policy is not None:
         driver = _dstream_adaptive_driver(
             cluster, state, model, batch_interval, checkpoint_interval,
@@ -1014,7 +1013,7 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
                               busy=state.node_busy.get(ni, 0.0))
             for i, (t, wm) in enumerate(crash_log.get("barriers", [])):
                 tracer.record("operator", f"barrier-{i:03d}",
-                              t - barrier_sync, t, key="CKPT",
+                              t - DEFAULT_BARRIER_SYNC, t, key="CKPT",
                               parent=job_span, watermark=wm)
         if job_span is not None:
             tracer.end(job_span, makespan)

@@ -38,12 +38,10 @@ resumes bit-identically.
 from __future__ import annotations
 
 import math
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..harness.campaign import run_campaign
+from ..harness.campaign import cell_delay, run_campaign
 from ..harness.checkpoint import CheckpointStore
 from ..harness.parallel import TaskFailure
 from ..validation.invariants import strict_enabled
@@ -54,14 +52,8 @@ from .model import StreamingWorkloadModel, max_stable_throughput
 __all__ = ["StreamingCell", "StreamingFigure", "streaming_sweep",
            "DEFAULT_LOAD_FRACTIONS", "DEFAULT_CHECKPOINT_INTERVALS",
            "FIG21_LOAD_FRACTION", "FIG21_CRASH_AT", "DEFAULT_DURATION",
-           "ENV_DELAY", "DegradeCell", "DegradationFigure",
-           "degradation_sweep", "DEFAULT_LOAD_MULTIPLES",
+           "DegradeCell", "degradation_sweep", "DEFAULT_LOAD_MULTIPLES",
            "DEFAULT_FAULT_RATES"]
-
-#: Test hook: wall-clock seconds to sleep per cell (stretches campaign
-#: wall time for the kill-and-resume tests without touching any
-#: simulated value).
-ENV_DELAY = "REPRO_STREAMING_DELAY"
 
 #: fig20 x-axis: offered load as a fraction of each engine's own
 #: analytic ``max_stable_throughput`` (so both engines are compared at
@@ -180,9 +172,7 @@ def _cell_task(engine: str, kind: str, load_fraction: float,
                crash_at: Optional[float], strict: bool) -> Dict[str, Any]:
     """Run one streaming cell; module-level and JSON-in/out so it fans
     across worker processes and journals into a checkpoint store."""
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     model = StreamingWorkloadModel()
     capacity = max_stable_throughput(model, nodes, engine,
                                      batch_interval=batch_interval)
@@ -216,14 +206,17 @@ def _cell_task(engine: str, kind: str, load_fraction: float,
 # ----------------------------------------------------------------------
 @dataclass
 class StreamingFigure:
-    """A fig20 or fig21 artefact: cells plus explicit campaign gaps."""
+    """A fig20, fig21 or fig22 artefact: cells plus explicit campaign
+    gaps (:class:`StreamingCell` for fig20/fig21, :class:`DegradeCell`
+    for fig22)."""
 
     figure_id: str
     title: str
     nodes: int
     duration: float
-    cells: List[StreamingCell]
-    gaps: List[StreamingCell] = field(default_factory=list)
+    cells: List[Union[StreamingCell, DegradeCell]]
+    gaps: List[Union[StreamingCell, DegradeCell]] = field(
+        default_factory=list)
 
     def describe(self) -> str:
         lines = [self.title]
@@ -411,9 +404,7 @@ def _degrade_task(engine: str, load_multiple: float, fault_rate: float,
                   strict: bool) -> Dict[str, Any]:
     """Run one fig22 cell (module-level, JSON-in/out for run_campaign)."""
     from .policies import compile_crash_schedule, resolve_policy
-    delay = float(os.environ.get(ENV_DELAY, "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    cell_delay()
     model = StreamingWorkloadModel()
     capacity = max_stable_throughput(model, nodes, engine,
                                      batch_interval=batch_interval)
@@ -453,26 +444,6 @@ def _degrade_task(engine: str, load_multiple: float, fault_rate: float,
     return cell.payload()
 
 
-@dataclass
-class DegradationFigure:
-    """The fig22 artefact: cells plus explicit campaign gaps."""
-
-    figure_id: str
-    title: str
-    nodes: int
-    duration: float
-    cells: List[DegradeCell]
-    gaps: List[DegradeCell] = field(default_factory=list)
-
-    def describe(self) -> str:
-        lines = [self.title]
-        lines.extend(f"  {cell.describe()}" for cell in self.cells)
-        if self.gaps:
-            lines.append(f"  GAPS: {len(self.gaps)} cell(s) not "
-                         f"simulated (harness failures)")
-        return "\n".join(lines)
-
-
 def degradation_sweep(
         figure_id: str = "fig22",
         engines: Sequence[str] = STREAMING_ENGINES,
@@ -485,7 +456,7 @@ def degradation_sweep(
         strict: Optional[bool] = None, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
         checkpoint: Optional[CheckpointStore] = None
-) -> DegradationFigure:
+) -> StreamingFigure:
     """Run the fig22 degradation campaign and assemble the figure.
 
     One cell per engine x load multiple x fault rate x policy, run like
@@ -509,7 +480,7 @@ def degradation_sweep(
                            timeout=timeout, retries=retries)
     figure_cells = [_decode(DegradeCell, key, result)
                     for (key, _args), result in zip(cells, results)]
-    return DegradationFigure(
+    return StreamingFigure(
         figure_id=figure_id, title=title, nodes=nodes, duration=duration,
         cells=figure_cells, gaps=[c for c in figure_cells if c.gap])
 

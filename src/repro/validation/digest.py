@@ -159,8 +159,7 @@ def resilience_payload(fig) -> Dict[str, Any]:
 
 def streaming_payload(fig) -> Dict[str, Any]:
     """Observable output of a fig20/fig21/fig22 streaming campaign
-    (the degradation figure shares the shape: id, nodes, duration,
-    per-cell payloads).
+    (a :class:`~repro.streaming.sweep.StreamingFigure`).
 
     Every cell's payload is included — compiled arrival-plan digest,
     latency percentiles, stability, checkpoint and recovery

@@ -228,7 +228,7 @@ class InvariantChecker:
     # post-run audits
     # ------------------------------------------------------------------
     def audit_cluster(self, cluster) -> None:
-        """Byte conservation, bounded traces, memory balance, core sanity."""
+        """Byte conservation, bounded traces and memory balance."""
         self.checks["cluster_audit"] += 1
         now = cluster.sim.now
         moved = cluster.fluid.moved_bytes_by_capacity()
@@ -263,20 +263,14 @@ class InvariantChecker:
             mem_tol = max(1.0, node.memory.peak * 1e-9)
             for problem in node.memory.audit(tolerance=mem_tol):
                 self._record(f"memory: {problem}")
-            for problem in node.cores.audit():
-                self._record(f"cores: {problem}")
 
     def audit_engine(self, engine) -> None:
-        """Audit a framework's memory model (and buffer pools, if any)."""
+        """Audit a framework's memory model."""
         self.checks["engine_audit"] += 1
         memory = getattr(engine, "memory", None)
         if memory is not None and hasattr(memory, "audit"):
             for problem in memory.audit():
                 self._record(f"engine memory: {problem}")
-        buffers = getattr(engine, "buffers", None)
-        if buffers is not None and hasattr(buffers, "audit"):
-            for problem in buffers.audit():
-                self._record(f"engine buffers: {problem}")
 
     def audit_result(self, result) -> None:
         """Structural sanity of a finished run's timeline."""

@@ -1,9 +1,10 @@
-"""Property tests for the vectorized fluid-solver paths.
+"""Property tests for the batched fluid-solver paths.
 
-Three optimisations claim exactness and are held to it here:
+Three shortcuts claim exactness and are held to it here:
 
-* the numpy batch solve for single-flow components must be *bit-
-  identical* to the scalar inline path it replaces;
+* a batch of single-flow components solved in one settle must give
+  each flow exactly its closed-form max–min rate (the tighter of its
+  capacity's bandwidth and its rate cap);
 * one process starting every flow of an instant must be observably
   equivalent to one process per flow starting the same flows;
 * the tie-batched progressive fill (the 1000-node shortcut) must
@@ -26,12 +27,12 @@ _EPS = fluid_mod._EPS
 
 
 # ---------------------------------------------------------------------
-# batched single-flow solve vs scalar path
+# batched single-flow solve vs the closed form
 # ---------------------------------------------------------------------
 
 @st.composite
 def single_flow_batches(draw):
-    """>= _VEC_MIN_SINGLES singleton flows on disjoint capacities."""
+    """Batches of 8 to 20 singleton flows on disjoint capacities."""
     n = draw(st.integers(8, 20))
     specs = []
     for _ in range(n):
@@ -63,18 +64,19 @@ def _run_singleton_batch(specs):
 
 @settings(deadline=None, max_examples=25)
 @given(single_flow_batches())
-def test_vectorized_singles_bitwise_equal_scalar(specs):
-    vec_completions, vec_traces = _run_singleton_batch(specs)
-    orig = fluid_mod._VEC_MIN_SINGLES
-    try:
-        fluid_mod._VEC_MIN_SINGLES = 10**9  # force the scalar path
-        scalar_completions, scalar_traces = _run_singleton_batch(specs)
-    finally:
-        fluid_mod._VEC_MIN_SINGLES = orig
-    # Exact float equality on purpose: the numpy pass claims
-    # bit-identity, not mere closeness.
-    assert vec_completions == scalar_completions
-    assert vec_traces == scalar_traces
+def test_singleton_batch_matches_closed_form(specs):
+    completions, traces = _run_singleton_batch(specs)
+    for i, (bw, size, rate_cap) in enumerate(specs):
+        rate = (rate_cap if rate_cap is not None and rate_cap < bw - _EPS
+                else bw)
+        # Exact float equality on purpose: the rate is the closed form.
+        assert traces[i][0] == (0.0, rate)
+        # A wakeup also completes every flow finishing within 1 ns of
+        # it, and the kernel adds each delay to its clock in floating
+        # point, so a completion lies within 1 ns (plus clock rounding)
+        # of size / rate.
+        finish = size / rate
+        assert abs(completions[i] - finish) <= 1e-9 + 2 * math.ulp(finish)
 
 
 # ---------------------------------------------------------------------

@@ -1,125 +1,9 @@
-"""Tests for CorePool, BufferPool and MemoryAccount."""
+"""Tests for MemoryAccount."""
 
 import pytest
 
 from repro.cluster.memory import MemoryAccount, OutOfMemoryError
-from repro.cluster.resources import (BufferPool, CorePool,
-                                     InsufficientBuffersError)
 from repro.cluster.simulation import Simulation, SimulationError
-
-
-# ----------------------------------------------------------------------
-# CorePool
-# ----------------------------------------------------------------------
-def test_core_pool_limits_concurrency():
-    sim = Simulation()
-    pool = CorePool(sim, cores=2)
-    finish = []
-
-    def task(i):
-        yield from pool.run(10.0)
-        finish.append((i, sim.now))
-
-    for i in range(4):
-        sim.process(task(i))
-    sim.run()
-    # Two waves of two tasks each.
-    assert [t for _, t in finish] == [10.0, 10.0, 20.0, 20.0]
-    assert pool.busy == 0
-
-
-def test_core_pool_fifo_order():
-    sim = Simulation()
-    pool = CorePool(sim, cores=1)
-    order = []
-
-    def task(i):
-        yield from pool.run(1.0)
-        order.append(i)
-
-    for i in range(5):
-        sim.process(task(i))
-    sim.run()
-    assert order == [0, 1, 2, 3, 4]
-
-
-def test_core_pool_utilisation_trace():
-    sim = Simulation()
-    pool = CorePool(sim, cores=4)
-
-    def task():
-        yield from pool.run(10.0)
-
-    sim.process(task())
-    sim.process(task())
-    sim.run()
-    assert pool.utilisation.value_at(5.0) == pytest.approx(50.0)
-    assert pool.utilisation.value_at(10.5) == pytest.approx(0.0)
-    assert pool.busy_series.integral(0, 10) == pytest.approx(20.0)
-
-
-def test_core_pool_release_without_acquire():
-    sim = Simulation()
-    pool = CorePool(sim, cores=1)
-    with pytest.raises(SimulationError):
-        pool.release()
-
-
-def test_core_pool_validation():
-    with pytest.raises(ValueError):
-        CorePool(Simulation(), cores=0)
-
-
-# ----------------------------------------------------------------------
-# BufferPool
-# ----------------------------------------------------------------------
-def test_buffer_pool_fail_on_exhaustion():
-    sim = Simulation()
-    pool = BufferPool(sim, count=4, buffer_bytes=32 * 1024)
-    pool.acquire(3)
-    with pytest.raises(InsufficientBuffersError):
-        pool.acquire(2)
-
-
-def test_buffer_pool_request_larger_than_pool():
-    sim = Simulation()
-    pool = BufferPool(sim, count=4, buffer_bytes=1)
-    with pytest.raises(InsufficientBuffersError):
-        pool.acquire(5)
-
-
-def test_buffer_pool_blocking_mode():
-    sim = Simulation()
-    pool = BufferPool(sim, count=2, buffer_bytes=1, fail_on_exhaustion=False)
-    log = []
-
-    def holder():
-        yield pool.acquire(2)
-        yield sim.timeout(5.0)
-        pool.release(2)
-
-    def waiter():
-        yield sim.timeout(1.0)
-        yield pool.acquire(1)
-        log.append(sim.now)
-
-    sim.process(holder())
-    sim.process(waiter())
-    sim.run()
-    assert log == [5.0]
-    assert pool.peak_in_use == 2
-
-
-def test_buffer_pool_release_validation():
-    sim = Simulation()
-    pool = BufferPool(sim, count=2, buffer_bytes=1)
-    with pytest.raises(SimulationError):
-        pool.release(1)
-
-
-def test_buffer_pool_capacity_bytes():
-    pool = BufferPool(Simulation(), count=2048, buffer_bytes=32 * 1024)
-    assert pool.capacity_bytes == 2048 * 32 * 1024
 
 
 # ----------------------------------------------------------------------

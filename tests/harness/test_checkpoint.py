@@ -277,7 +277,7 @@ with CheckpointStore(root, fp, resume=len(sys.argv) > 2) as store:
 def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
     root = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-               REPRO_RESILIENCE_DELAY="0.15")  # slow cells: killable
+               REPRO_CELL_DELAY="0.15")  # slow cells: killable
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(root)],
                             env=env)
     journal = root / "journal.jsonl"

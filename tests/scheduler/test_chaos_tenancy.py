@@ -126,7 +126,7 @@ def test_sigkill_then_resume_reproduces_the_digest(tmp_path):
     baseline = fig23_tenancy(**KW)
     root = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
-               REPRO_TENANCY_DELAY="0.2")  # slow cells: killable
+               REPRO_CELL_DELAY="0.2")  # slow cells: killable
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(root)],
                             env=env)
     journal = root / "journal.jsonl"

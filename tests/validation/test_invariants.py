@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.fluid import Capacity, FluidScheduler
 from repro.cluster.memory import MemoryAccount
-from repro.cluster.resources import BufferPool, CorePool
 from repro.cluster.simulation import Simulation
 from repro.cluster.topology import Cluster
 from repro.cluster.trace import StepSeries, check_series_bounds
@@ -145,25 +144,6 @@ def test_memory_account_audit_catches_overcommit():
     acct = MemoryAccount(sim, "ram", 100.0)
     acct.used = 200.0  # corrupt directly; reserve() would refuse
     assert any("> capacity" in p for p in acct.audit())
-
-
-def test_core_pool_audit_catches_corruption():
-    sim = Simulation()
-    pool = CorePool(sim, 4)
-    sim.run()
-    assert pool.audit() == []
-    pool.busy = 7
-    assert any("outside [0, 4]" in p for p in pool.audit())
-
-
-def test_buffer_pool_audit_catches_corruption():
-    sim = Simulation()
-    pool = BufferPool(sim, 8, 32768)
-    pool.acquire(4)
-    sim.run()
-    assert pool.audit() == []
-    pool.in_use = 20
-    assert any("outside [0, 8]" in p for p in pool.audit())
 
 
 def test_step_series_bounds_checker():
