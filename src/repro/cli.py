@@ -58,7 +58,9 @@ Commands
 
 ``run``, ``figure``, ``table7`` and the campaigns accept ``--strict``:
 the run attaches an invariant checker and fails loudly on any
-violation.
+violation.  A simulated run that fails (Table VII's out-of-memory
+cells) makes ``run``, ``trace`` and ``faults`` print one
+``error: ...`` line and exit 1.
 
 Campaigns
 ---------
@@ -105,15 +107,12 @@ from .cluster import Cluster
 from .core import render_bar_table, render_run
 from .harness import figures as figure_registry
 from .harness.checkpoint import CheckpointError, CheckpointStore
-from .harness.runner import run_correlated
+from .harness.runner import RunFailed, run_correlated, run_traced
 from .hdfs import HDFS
-from .workloads.catalogue import build_config, build_workload
+from .workloads.catalogue import WORKLOADS, build_config, build_workload
 
 __all__ = ["main", "build_workload", "build_config", "WORKLOADS",
            "FIGURES"]
-
-WORKLOADS = ["wordcount", "grep", "terasort", "kmeans", "pagerank",
-             "connected-components"]
 
 FIGURES = {
     "fig01": figure_registry.fig01_wordcount_weak,
@@ -220,8 +219,12 @@ def cmd_run(args) -> int:
     workload = build_workload(args.workload, args.nodes, graph=args.graph,
                               iterations=args.iterations)
     config = build_config(args.workload, args.nodes)
-    run = run_correlated(args.engine, workload, config, seed=args.seed,
-                         strict=args.strict or None)
+    try:
+        run = run_correlated(args.engine, workload, config,
+                             seed=args.seed, strict=args.strict or None)
+    except RunFailed as exc:
+        print(f"error: {args.engine}: {exc}", file=sys.stderr)
+        return 1
     print(render_run(run))
     print()
     print(f"bottleneck: {', '.join(run.bottleneck(threshold=40))}")
@@ -438,33 +441,38 @@ def cmd_faults(args) -> int:
     from .faults import (FaultPlan, FlinkRestartPolicy, RetryPolicy,
                          run_with_faults)
     from .harness.faults import run_with_failure
-    from .harness.runner import run_once
     workload = build_workload(args.workload, args.nodes, graph=args.graph)
     config = build_config(args.workload, args.nodes)
     strict = args.strict or None
     status = 0
     for engine in args.engines:
-        if args.mode in ("estimate", "both"):
-            estimate = run_with_failure(engine, workload, config,
-                                        fail_at_fraction=args.fail_at,
-                                        seed=args.seed)
-            print(f"estimate  {estimate.describe()}")
-        if args.mode in ("simulate", "both"):
-            restart_after = (None if args.restart_after < 0
-                             else args.restart_after)
-            plan = FaultPlan.single_crash(args.fail_at, node=args.crash_node,
-                                          restart_after=restart_after)
-            faulted = run_with_faults(
-                engine, workload, config, plan, seed=args.seed,
-                retry_policy=RetryPolicy(backoff=args.backoff),
-                restart_policy=FlinkRestartPolicy(
-                    restart_delay=args.restart_delay),
-                strict=strict)
-            print(f"simulated {faulted.describe()}")
-            if args.timeline:
-                print(faulted.timeline.describe())
-            if not faulted.success:
-                status = 1
+        try:
+            if args.mode in ("estimate", "both"):
+                estimate = run_with_failure(engine, workload, config,
+                                            fail_at_fraction=args.fail_at,
+                                            seed=args.seed)
+                print(f"estimate  {estimate.describe()}")
+            if args.mode in ("simulate", "both"):
+                restart_after = (None if args.restart_after < 0
+                                 else args.restart_after)
+                plan = FaultPlan.single_crash(
+                    args.fail_at, node=args.crash_node,
+                    restart_after=restart_after)
+                faulted = run_with_faults(
+                    engine, workload, config, plan, seed=args.seed,
+                    retry_policy=RetryPolicy(backoff=args.backoff),
+                    restart_policy=FlinkRestartPolicy(
+                        restart_delay=args.restart_delay),
+                    strict=strict)
+                print(f"simulated {faulted.describe()}")
+                if args.timeline:
+                    print(faulted.timeline.describe())
+                if not faulted.success:
+                    status = 1
+        except RunFailed as exc:
+            # The fault-free baseline itself failed: nothing to inject.
+            print(f"error: {engine}: {exc}", file=sys.stderr)
+            status = 1
     return status
 
 
@@ -496,12 +504,22 @@ def _render_trace(traced) -> str:
     return "\n".join(lines)
 
 
+def _trace_task(engine: str, workload, config, seed: int,
+                strict: Optional[bool]):
+    """:func:`run_traced` as a fan-out task.  A failed run comes back as
+    its :class:`RunFailed`, which pickles, so ``trace`` reports it the
+    same way at every ``--jobs``."""
+    try:
+        return run_traced(engine, workload, config, seed, strict)
+    except RunFailed as exc:
+        return exc
+
+
 def cmd_trace(args) -> int:
     import json
     import pathlib
 
     from .harness.parallel import parallel_map
-    from .harness.runner import run_traced
     from .observability import (chrome_trace_payload, critical_path_csv,
                                 spans_csv)
     workload = build_workload(args.workload, args.nodes, graph=args.graph,
@@ -513,8 +531,13 @@ def cmd_trace(args) -> int:
     # bit-identical at every --jobs value.
     tasks = [(engine, workload, config, args.seed, strict)
              for engine in args.engines]
-    traced_runs = parallel_map(run_traced, tasks, jobs=args.jobs)
+    traced_runs = parallel_map(_trace_task, tasks, jobs=args.jobs)
+    status = 0
     for engine, traced in zip(args.engines, traced_runs):
+        if isinstance(traced, RunFailed):
+            print(f"error: {engine}: {traced}", file=sys.stderr)
+            status = 1
+            continue
         print(_render_trace(traced))
         if args.out:
             outdir = pathlib.Path(args.out)
@@ -532,7 +555,7 @@ def cmd_trace(args) -> int:
             print(f"wrote {outdir / stem}.json "
                   f"(+ -spans.csv, -critical-path.csv)")
         print()
-    return 0
+    return status
 
 
 def cmd_table7(args) -> int:

@@ -132,10 +132,6 @@ class Process(Event):
         boot.callbacks.append(self._resume)
         sim._schedule(boot, 0.0)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class StepSeries:
             return
         self.times.append(time)
         self.values.append(value)
-
-    def extend(self, points: Iterable[Tuple[float, float]]) -> None:
-        for t, v in points:
-            self.append(t, v)
 
     def __len__(self) -> int:
         return len(self.times)

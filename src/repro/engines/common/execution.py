@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ...cluster.memory import OutOfMemoryError
 from ...cluster.node import Node
 from ...cluster.simulation import Event, Interrupt
@@ -41,54 +39,9 @@ from ...hdfs.filesystem import HDFS
 
 __all__ = [
     "PhaseResources", "PhaseSpec", "OperatorSpan", "JobResult",
-    "JobFailedError", "JobFootprint", "TaskLostError", "PhaseExecutor",
-    "ChunkQueue", "footprint_of", "uniform_resources",
+    "JobFailedError", "TaskLostError", "PhaseExecutor", "ChunkQueue",
+    "uniform_resources",
 ]
-
-
-@dataclass(frozen=True)
-class JobFootprint:
-    """A finished run reduced to its schedulable shape.
-
-    The cluster scheduler (:mod:`repro.scheduler`) treats a whole
-    engine run as one schedulable unit: a job that wants ``width``
-    nodes and needs ``service_seconds`` of execution on them.  The
-    footprint is measured by actually running the job alone via the
-    legacy :func:`repro.harness.runner.run_once` path, which is what
-    makes a single job admitted through the scheduler bitwise
-    identical to a direct run — the profile *is* the direct run.
-
-    ``granules`` is the preemption quantum count: Spark-style
-    preemption loses only the uncommitted granule (lineage keeps the
-    completed ones), Flink-style restart loses all of them.
-    """
-
-    engine: str
-    workload: str
-    width: int
-    service_seconds: float
-    granules: int = 8
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if not self.service_seconds > 0:
-            raise ValueError(
-                f"service_seconds must be > 0, got {self.service_seconds}")
-        if self.granules < 1:
-            raise ValueError(
-                f"granules must be >= 1, got {self.granules}")
-
-
-def footprint_of(result, granules: int = 8) -> JobFootprint:
-    """Reduce a successful :class:`EngineRunResult` to its footprint."""
-    if not result.success:
-        raise ValueError(
-            f"cannot take the footprint of a failed run: {result.failure}")
-    return JobFootprint(engine=result.engine, workload=result.workload,
-                        width=result.nodes,
-                        service_seconds=result.duration,
-                        granules=granules)
 
 
 class JobFailedError(RuntimeError):

@@ -60,11 +60,6 @@ class Segment:
     def display_name(self) -> str:
         return "->".join(op.name for op in self.ops if not op.hidden)
 
-    def key(self) -> str:
-        """Short label: initials of the display chain (e.g. ``DC``)."""
-        parts = self.display_name().split("->")
-        return "".join(p[0] for p in parts if p)
-
     def __repr__(self) -> str:
         return f"Segment({self.display_name()})"
 

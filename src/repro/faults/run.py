@@ -32,7 +32,7 @@ from ..engines.common.result import EngineRunResult
 from ..engines.flink.engine import FlinkEngine
 from ..engines.spark.engine import SparkEngine
 from ..harness.faults import FaultRecoveryResult, run_with_failure
-from ..harness.runner import run_once
+from ..harness.runner import RunFailed, run_once
 from ..hdfs.filesystem import HDFS
 from ..validation.invariants import InvariantChecker, strict_enabled
 from ..workloads.base import Workload
@@ -215,7 +215,7 @@ def run_with_faults(engine_name: str, workload: Workload,
         baseline = run_once(engine_name, workload, config, seed=seed,
                             strict=strict)
     if not baseline.success:
-        raise RuntimeError(
+        raise RunFailed(
             f"fault-free baseline failed ({baseline.failure}); pick a "
             f"configuration that succeeds before injecting faults")
     resolved = plan.resolve(baseline.duration)

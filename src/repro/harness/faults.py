@@ -28,7 +28,7 @@ from typing import List
 from ..config.presets import ExperimentConfig
 from ..engines.common.result import EngineRunResult
 from ..workloads.base import Workload
-from .runner import run_once
+from .runner import RunFailed, run_once
 
 __all__ = ["FaultRecoveryResult", "analytic_total", "run_with_failure"]
 
@@ -122,7 +122,7 @@ def run_with_failure(engine: str, workload: Workload,
         raise ValueError("fail_at_fraction must be in (0, 1)")
     baseline = run_once(engine, workload, config, seed=seed)
     if not baseline.success:
-        raise RuntimeError(f"baseline failed: {baseline.failure}")
+        raise RunFailed(f"baseline failed: {baseline.failure}")
     T = baseline.duration
     total = analytic_total(engine, baseline, fail_at_fraction, config.nodes)
     return FaultRecoveryResult(

@@ -34,8 +34,14 @@ from ..observability import (CriticalPath, SpanAttribution, SpanTracer,
 from ..validation.invariants import InvariantChecker, strict_enabled
 from ..workloads.base import Workload
 
-__all__ = ["Deployment", "TrialStats", "TracedRun", "run_once",
-           "run_traced", "run_trials"]
+__all__ = ["Deployment", "RunFailed", "TrialStats", "TracedRun",
+           "run_once", "run_traced", "run_trials"]
+
+
+class RunFailed(RuntimeError):
+    """A simulated run failed (Table VII's out-of-memory, say), so there
+    is nothing to correlate, trace or inject faults into.  The message
+    carries the run's failure."""
 
 
 @dataclass
@@ -208,15 +214,16 @@ def run_traced(engine_name: str, workload: Workload,
     Returns a :class:`TracedRun` bundling the span tree, its critical
     path and per-span resource attribution.  Module-level and
     picklable throughout, so ``parallel_map(run_traced, ...)`` fans
-    traced runs across processes.  Raises on failed runs — a failure
-    aborts mid-tree and there is nothing coherent to analyse.
+    traced runs across processes.  Raises :class:`RunFailed` on failed
+    runs — a failure aborts mid-tree and there is nothing coherent to
+    analyse.
     """
     tracer = SpanTracer()
     result = run_once(engine_name, workload, config, seed=seed,
                       keep_deployment=True, strict=strict, tracer=tracer)
     deployment: Deployment = result.metrics.pop("_deployment")
     if not result.success:
-        raise RuntimeError(f"run failed, cannot trace: {result.failure}")
+        raise RunFailed(f"run failed, cannot trace: {result.failure}")
     tree = tracer.tree()
     return TracedRun(
         result=result, tree=tree,
@@ -243,7 +250,7 @@ def run_correlated(engine_name: str, workload: Workload,
                       keep_deployment=True, strict=strict, tracer=tracer)
     deployment: Deployment = result.metrics.pop("_deployment")
     if not result.success:
-        raise RuntimeError(f"run failed, cannot correlate: {result.failure}")
+        raise RunFailed(f"run failed, cannot correlate: {result.failure}")
     run = correlate(deployment.cluster, result, step=step)
     if strict_enabled(strict):
         checker = InvariantChecker()

@@ -61,9 +61,6 @@ class HDFS:
     def lookup(self, name: str) -> HdfsFile:
         return self.namenode.lookup(name)
 
-    def exists(self, name: str) -> bool:
-        return self.namenode.exists(name)
-
     def delete(self, name: str) -> None:
         f = self.namenode.delete(name)
         stored = f.bytes_per_node(self.cluster.num_nodes).tolist()
@@ -84,20 +81,6 @@ class HDFS:
         self.remote_reads += 1
         owner = self.cluster.node(block.replicas[0])
         return self.cluster.remote_disk_read(reader, owner, block.size,
-                                             rate_cap=rate_cap)
-
-    def read_bytes(self, reader_index: int, nbytes: float, local: bool = True,
-                   owner_index: Optional[int] = None,
-                   rate_cap: Optional[float] = None) -> Event:
-        """Read a byte range without block bookkeeping (aggregate path)."""
-        reader = self.cluster.node(reader_index)
-        self.bytes_read += nbytes
-        if local or owner_index is None or owner_index == reader_index:
-            self.local_reads += 1
-            return self.cluster.disk_read(reader, nbytes, rate_cap=rate_cap)
-        self.remote_reads += 1
-        owner = self.cluster.node(owner_index)
-        return self.cluster.remote_disk_read(reader, owner, nbytes,
                                              rate_cap=rate_cap)
 
     def write_bytes(self, writer_index: int, nbytes: float,

@@ -106,9 +106,6 @@ class NameNode:
         except KeyError:
             raise FileNotFoundInNamespaceError(name) from None
 
-    def exists(self, name: str) -> bool:
-        return name in self.files
-
     def delete(self, name: str) -> HdfsFile:
         return self.files.pop(name)
 

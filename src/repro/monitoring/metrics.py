@@ -63,12 +63,6 @@ class MetricFrame:
         if len(self.times) != len(self.mean) or len(self.mean) != len(self.total):
             raise ValueError("times/mean/total must align")
 
-    @property
-    def duration(self) -> float:
-        if len(self.times) < 2:
-            return 0.0
-        return self.times[-1] - self.times[0] + (self.times[1] - self.times[0])
-
     def peak(self) -> float:
         return max(self.mean, default=0.0)
 

@@ -69,9 +69,6 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
-
     def __repr__(self) -> str:
         where = f" node={self.node}" if self.node is not None else ""
         return (f"Span(#{self.id} {self.kind} {self.name!r} "

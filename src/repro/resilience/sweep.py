@@ -29,7 +29,7 @@ reproduces the uninterrupted digests exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config.presets import (ExperimentConfig, GiB, kmeans_preset,
@@ -117,23 +117,6 @@ class ResilienceCell:
             return math.nan
         return self.faulted_seconds / self.baseline_seconds
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine, "workload": self.workload,
-            "nodes": self.nodes, "rate": self.rate, "trial": self.trial,
-            "seed": self.seed, "plan_digest": self.plan_digest,
-            "plan_events": self.plan_events, "success": self.success,
-            "baseline_seconds": self.baseline_seconds,
-            "faulted_seconds": self.faulted_seconds,
-            "retries": self.retries, "restarts": self.restarts,
-            "crashes": self.crashes, "failure": self.failure,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "ResilienceCell":
-        return ResilienceCell(**payload)
-
 
 def _cell_task(engine: str, workload: Workload, config: ExperimentConfig,
                workload_name: str, rate: float, trial: int, seed: int,
@@ -166,7 +149,7 @@ def _cell_task(engine: str, workload: Workload, config: ExperimentConfig,
     cell.restarts = len(faulted.restarts)
     cell.crashes = len(faulted.timeline.of_kind("node_crash"))
     cell.failure = faulted.result.failure
-    return cell.payload()
+    return asdict(cell)
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +273,7 @@ def resilience_sweep(
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
                            timeout=timeout, retries=retries)
     figure_cells = [
-        ResilienceCell.from_payload(result)
+        ResilienceCell(**result)
         if not isinstance(result, TaskFailure) else ResilienceCell(
             engine=key["engine"], workload=key["workload"], nodes=nodes,
             rate=key["rate"], trial=key["trial"], seed=key["seed"],

@@ -30,7 +30,7 @@ bit-identical at any ``--jobs``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..harness.campaign import cell_delay, run_campaign
@@ -130,25 +130,6 @@ class TenancyCell:
     def mean_wait(self) -> float:
         return sum(self.waits) / len(self.waits) if self.waits else math.nan
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "policy": self.policy, "load": self.load, "trial": self.trial,
-            "seed": self.seed, "nodes": self.nodes,
-            "plan_digest": self.plan_digest,
-            "arrival_rate": self.arrival_rate,
-            "submitted": self.submitted, "completed": self.completed,
-            "failed": self.failed, "rejected": self.rejected,
-            "preemptions": self.preemptions, "crashes": self.crashes,
-            "slowdowns": list(self.slowdowns), "waits": list(self.waits),
-            "jain": self.jain, "utilization": self.utilization,
-            "makespan": self.makespan, "events": self.events,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "TenancyCell":
-        return TenancyCell(**payload)
-
 
 def _cell_task(policy_name: str, load: float, trial: int, cell_seed: int,
                nodes: int, templates_payload: List[Dict[str, Any]],
@@ -181,7 +162,7 @@ def _cell_task(policy_name: str, load: float, trial: int, cell_seed: int,
         slowdowns=result.slowdowns(), waits=result.waits(),
         jain=result.jain(), utilization=result.utilization(),
         makespan=result.makespan, events=result.events)
-    return cell.payload()
+    return asdict(cell)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +289,7 @@ def tenancy_sweep(
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
                            timeout=timeout, retries=retries)
     figure_cells = [
-        TenancyCell.from_payload(result)
+        TenancyCell(**result)
         if not isinstance(result, TaskFailure) else TenancyCell(
             policy=key["policy"], load=key["load"], trial=key["trial"],
             seed=key["seed"], nodes=nodes, gap=True,

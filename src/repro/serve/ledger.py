@@ -32,7 +32,7 @@ attempt = one worker process)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict
 
 __all__ = ["ServingLedger", "REQUEST_TERMINAL_FIELDS"]
@@ -90,13 +90,7 @@ class ServingLedger:
     sim_retried: int = 0
     sim_exhausted: int = 0
 
-    #: Free-form notes (chaos harness breadcrumbs); not audited.
-    notes: Dict[str, int] = field(default_factory=dict)
-
     # ------------------------------------------------------------------
-    def note(self, key: str) -> None:
-        self.notes[key] = self.notes.get(key, 0) + 1
-
     @property
     def shed(self) -> int:
         return self.shed_queue_full + self.shed_breaker + self.shed_drain
@@ -108,11 +102,7 @@ class ServingLedger:
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict copy, including the derived shed/failed totals."""
-        out: Dict[str, int] = {}
-        for f in fields(self):
-            if f.name == "notes":
-                continue
-            out[f.name] = getattr(self, f.name)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["shed"] = self.shed
         out["failed"] = self.failed
         return out

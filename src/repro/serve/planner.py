@@ -46,17 +46,14 @@ from ..config.presets import CORES_PER_NODE, ExperimentConfig
 from ..engines.common.serialization import Serializer
 from ..harness.parallel import resolve_jobs
 from ..validation.digest import digest_payload
-from ..workloads.catalogue import build_config, build_workload
+from ..workloads.catalogue import WORKLOADS, build_config, build_workload
 from .cache import DigestCache
 from .pool import AsyncWorkerPool, TaskFailed
 
 __all__ = ["PlanError", "CapacityQuery", "candidate_descriptors",
            "candidate_digest", "evaluate_candidate", "evaluate_on_pool",
-           "plan_capacity_async", "plan_capacity_sync",
-           "PLAN_WORKLOADS", "ENGINES"]
+           "plan_capacity_async", "plan_capacity_sync", "ENGINES"]
 
-PLAN_WORKLOADS = ("wordcount", "grep", "terasort", "kmeans", "pagerank",
-                  "connected-components")
 ENGINES = ("spark", "flink")
 DEFAULT_NODES = (2, 4, 8, 16, 32)
 
@@ -91,9 +88,9 @@ class CapacityQuery:
     data_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.workload not in PLAN_WORKLOADS:
+        if self.workload not in WORKLOADS:
             raise PlanError(f"unknown workload {self.workload!r}; "
-                            f"expected one of {PLAN_WORKLOADS}")
+                            f"expected one of {WORKLOADS}")
         if not (isinstance(self.slo_seconds, (int, float))
                 and math.isfinite(self.slo_seconds)
                 and self.slo_seconds > 0):

@@ -28,15 +28,15 @@ demoted to a differential oracle (see ``tests/streaming``).
   backlog — the micro-batch instability of the analytic model —
   emerges from execution rather than being assumed.
 
-**Failure model**: each entry of the crash schedule (``crash_times``,
-or the single legacy ``crash_at``) kills the whole pipeline — Flink
-0.10 restarts from the last completed barrier and replays, Spark loses
-the unckeckpointed batch state and lineage-recomputes the window since
-the last RDD checkpoint as one parallel job.  The wait before each
-restart comes from the run's *restart strategy* (:mod:`repro.
-streaming.policies`): fixed delay, exponential backoff with seeded
-jitter, or a failure-rate cap that declares the **job failed** and
-stops the run with an explicit ``job_failed`` result.  A crash whose
+**Failure model**: each entry of the crash schedule (``crash_times``)
+kills the whole pipeline — Flink 0.10 restarts from the last completed
+barrier and replays, Spark loses the uncheckpointed batch state and
+lineage-recomputes the window since the last RDD checkpoint as one
+parallel job.  The wait before each restart comes from the run's
+*restart strategy* (:mod:`repro.streaming.policies`): fixed delay,
+exponential backoff with seeded jitter, or a failure-rate cap that
+declares the **job failed** and stops the run with an explicit
+``job_failed`` result.  A crash whose
 time passes while the pipeline is already down fires immediately after
 the restart — repeated crash sequences, not one-shot flags.  Recovery
 time is measured from the *last* crash as the first time the ingest
@@ -65,7 +65,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.node import GRID5000_PARAVANCE, HardwareSpec
 from ..cluster.topology import Cluster
 from ..engines.common.execution import (PhaseExecutor, PhaseSpec,
                                         uniform_resources)
@@ -334,8 +333,8 @@ class _StreamState:
         #: Sanctioned watermark-regression times (restart rollbacks).
         self.rollbacks: List[float] = []
         self.downtime = 0.0
-        #: Per-slice latency floor override (adaptive batching assigns
-        #: slices to dynamic batch boundaries; None = static formula).
+        #: Per-slice latency floor: the D-Stream driver sets the wait to
+        #: the slice's batch boundary; None = the ingest granularity.
         self.floors: List[Optional[float]] = [None] * n
 
     def admitted(self, k: int) -> int:
@@ -396,7 +395,7 @@ class _StreamState:
 
 
 # ----------------------------------------------------------------------
-# crash-sequence cursor (shared by both drivers)
+# crash-sequence cursor (shared by both engines' drivers)
 # ----------------------------------------------------------------------
 class _CrashCursor:
     """Replaces the one-shot ``crash_log["crashed"]`` guard: walks a
@@ -709,100 +708,34 @@ def _dstream_crash(cluster: Cluster, state: _StreamState,
 def _dstream_driver(cluster: Cluster, state: _StreamState,
                     model: StreamingWorkloadModel, batch_interval: float,
                     checkpoint_interval: float, cursor: _CrashCursor,
-                    crash_log: Dict[str, Any]):
+                    batch_policy, crash_log: Dict[str, Any]):
+    """The serial D-Stream driver: each batch takes every slice closed
+    by its boundary and runs as one staged job.  Without a batch policy
+    batch ``b`` closes at ``(b + 1) * batch_interval`` and admits every
+    record.  Under an :class:`AdaptiveBatchPolicy` the boundary advances
+    by the controller's current interval (bounded staleness), and the
+    receiver sheds arrivals beyond the measured sustainable rate
+    (bounded latency at a loss fraction)."""
     sim = cluster.sim
     plan = state.plan
     cores = cluster.spec.cores
     n = cluster.num_nodes
     executor = PhaseExecutor(cluster, hdfs=None, chunks_per_phase=4)
     tracer = cluster.tracer
-    num_batches = max(1, int(math.ceil(
-        plan.duration / batch_interval - 1e-9)))
-    # Slice k belongs to the batch open when it closes.
-    batches: List[List[int]] = [[] for _ in range(num_batches)]
-    for k in range(plan.num_slices):
-        b = min(num_batches - 1,
-                int((plan.slice_close(k) - 1e-9) // batch_interval))
-        batches[b].append(k)
-    next_ckpt = checkpoint_interval
-
-    for b, members in enumerate(batches):
-        close = (b + 1) * batch_interval
-        while sim.now < close:
-            if cursor.pending():
-                yield from _dstream_crash(cluster, state, model,
-                                          executor, cursor)
-                if crash_log["job_failed"]:
-                    return
-                continue
-            nxt = cursor.next_crash()
-            if nxt is not None and nxt < close:
-                yield sim.timeout(max(0.0, nxt - sim.now))
-            else:
-                yield sim.timeout(close - sim.now)
-        if cursor.pending():
-            yield from _dstream_crash(cluster, state, model,
-                                      executor, cursor)
-            if crash_log["job_failed"]:
-                return
-        records = sum(plan.counts[k] for k in members)
-        state.first_launch = min(state.first_launch, sim.now)
-        start = sim.now
-        span = None
-        if tracer is not None:
-            span = tracer.begin("job", f"batch-{b:04d}", start)
-        yield from executor.run_staged(
-            f"batch-{b:04d}",
-            _batch_phases(model, n, cores, records,
-                          overhead=model.batch_fixed_overhead))
-        if tracer is not None:
-            tracer.end(span, sim.now)
-        now = sim.now
-        state.last_completion = max(state.last_completion, now)
-        for k in members:
-            state.completion[k] = now
-            state.done[k] = True
-        for ni in range(n):
-            state.touch_node(ni, start, now)
-        state.advance_watermark(now)
-        if close >= next_ckpt - 1e-9:
-            # The RDD/state checkpoint piggybacks on the batch job, so
-            # unlike the continuous engine's barrier it adds no stall;
-            # its cost shows up at recovery time instead.
-            state.checkpoints += 1
-            state.ckpt_watermark = close
-            while close >= next_ckpt - 1e-9:
-                next_ckpt += checkpoint_interval
-    while cursor.pending():
-        yield from _dstream_crash(cluster, state, model, executor, cursor)
-        if crash_log["job_failed"]:
-            return
-
-
-def _dstream_adaptive_driver(cluster: Cluster, state: _StreamState,
-                             model: StreamingWorkloadModel,
-                             batch_interval: float,
-                             checkpoint_interval: float,
-                             cursor: _CrashCursor, batch_policy,
-                             crash_log: Dict[str, Any]):
-    """The D-Stream driver under an :class:`AdaptiveBatchPolicy`:
-    batch boundaries advance by the controller's current interval
-    (bounded staleness), and the receiver sheds arrivals beyond the
-    measured sustainable rate (bounded latency at a loss fraction)."""
-    sim = cluster.sim
-    plan = state.plan
-    cores = cluster.spec.cores
-    n = cluster.num_nodes
-    executor = PhaseExecutor(cluster, hdfs=None, chunks_per_phase=4)
-    tracer = cluster.tracer
-    controller = BatchIntervalController(batch_policy, batch_interval)
-    crash_log["controller"] = controller
+    controller = None
+    if batch_policy is not None:
+        controller = BatchIntervalController(batch_policy, batch_interval)
+        crash_log["controller"] = controller
     next_ckpt = checkpoint_interval
     next_slice = 0
     b = 0
-    close = controller.interval
+    close = 0.0
 
     while True:
+        # Fixed boundaries are exact multiples of the interval; a
+        # running sum would drift by rounding.
+        close = ((b + 1) * batch_interval if controller is None
+                 else close + controller.interval)
         while sim.now < close:
             if cursor.pending():
                 yield from _dstream_crash(cluster, state, model,
@@ -828,11 +761,10 @@ def _dstream_adaptive_driver(cluster: Cluster, state: _StreamState,
             next_slice += 1
         # Receiver-side shedding: admit up to the measured sustainable
         # budget, drop-tail on the newest arrivals beyond it.
-        budget = controller.admissible()
+        budget = math.inf if controller is None else controller.admissible()
         records = 0
         for k in members:
             state.floors[k] = close - plan.slice_midpoint(k)
-            state.shed_decided[k] = True
             admitted = plan.counts[k]
             if math.isfinite(budget) and records + admitted > budget:
                 keep = max(0, int(budget) - records)
@@ -861,15 +793,18 @@ def _dstream_adaptive_driver(cluster: Cluster, state: _StreamState,
         for ni in range(n):
             state.touch_node(ni, start, now)
         state.advance_watermark(now)
-        controller.observe(records, now - start)
+        if controller is not None:
+            controller.observe(records, now - start)
         if close >= next_ckpt - 1e-9:
+            # The RDD/state checkpoint piggybacks on the batch job, so
+            # unlike the continuous engine's barrier it adds no stall;
+            # its cost shows up at recovery time instead.
             state.checkpoints += 1
             state.ckpt_watermark = min(close, plan.duration)
             while close >= next_ckpt - 1e-9:
                 next_ckpt += checkpoint_interval
         if next_slice >= plan.num_slices:
             break
-        close += controller.interval
         b += 1
     while cursor.pending():
         yield from _dstream_crash(cluster, state, model, executor, cursor)
@@ -903,13 +838,9 @@ def _recovery_seconds(watermarks: List[Tuple[float, float]],
 def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
                   nodes: int = 8,
                   model: Optional[StreamingWorkloadModel] = None,
-                  spec: HardwareSpec = GRID5000_PARAVANCE, seed: int = 0,
-                  batch_interval: float = 1.0,
+                  seed: int = 0, batch_interval: float = 1.0,
                   checkpoint_interval: float = 10.0,
-                  network_buffers: int = 2048, parallelism: int = 16,
-                  crash_at: Optional[float] = None,
-                  crash_times: Optional[Sequence[float]] = None,
-                  restart_delay: float = 2.0,
+                  crash_times: Sequence[float] = (),
                   restart_strategy=None, shedding=None,
                   batch_policy=None,
                   strict: Optional[bool] = None,
@@ -922,15 +853,14 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
     continuous-operator pipeline (``"flink"``) or the micro-batch
     D-Stream driver (``"spark"``).
 
-    Failures: ``crash_times`` (plus the legacy single ``crash_at``)
-    form the sorted crash schedule — compile one from a fault rate
-    with :func:`~repro.streaming.policies.compile_crash_schedule`.
-    ``restart_strategy`` (default: fixed delay of ``restart_delay``
-    seconds) decides the wait after each crash or declares the job
-    failed.  Overload: pass ``shedding`` (continuous engine) or
-    ``batch_policy`` (D-Stream engine) from :mod:`repro.streaming.
-    policies` to bound latency at a measured loss fraction.
-    Deterministic for fixed inputs.
+    Failures: ``crash_times`` is the crash schedule (sorted here) —
+    compile one from a fault rate with :func:`~repro.streaming.
+    policies.compile_crash_schedule`.  ``restart_strategy`` (default:
+    :class:`~repro.streaming.policies.FixedDelayRestart`) decides the
+    wait after each crash or declares the job failed.  Overload: pass
+    ``shedding`` (continuous engine) or ``batch_policy`` (D-Stream
+    engine) from :mod:`repro.streaming.policies` to bound latency at a
+    measured loss fraction.  Deterministic for fixed inputs.
     """
     if engine not in STREAMING_ENGINES:
         raise ValueError(f"unknown streaming engine {engine!r}; "
@@ -939,18 +869,11 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
         raise ValueError("batch_interval must be positive")
     if checkpoint_interval <= 0:
         raise ValueError("checkpoint_interval must be positive")
-    schedule: List[float] = []
-    if crash_at is not None:
-        if crash_at <= 0:
-            raise ValueError("crash_at must be positive")
-        schedule.append(float(crash_at))
-    if crash_times:
-        if any(t <= 0 for t in crash_times):
-            raise ValueError("crash times must be positive")
-        schedule.extend(float(t) for t in crash_times)
-    schedule.sort()
+    if any(t <= 0 for t in crash_times):
+        raise ValueError("crash times must be positive")
+    schedule = sorted(float(t) for t in crash_times)
     strategy = (restart_strategy if restart_strategy is not None
-                else FixedDelayRestart(delay=restart_delay))
+                else FixedDelayRestart())
     strategy.validate()
     if shedding is not None:
         if engine != "flink":
@@ -968,7 +891,7 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
     else:
         plan = arrivals.compile(seed, duration)
 
-    cluster = Cluster(nodes, spec=spec, seed=seed)
+    cluster = Cluster(nodes, seed=seed)
     cluster.tracer = tracer
     checker = None
     if strict_enabled(strict):
@@ -983,20 +906,18 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
     cursor = _CrashCursor(cluster.sim, schedule, strategy, seed,
                           crash_log, tracer)
     if engine == "flink":
-        depth = queue_depth_from_buffers(network_buffers, parallelism)
+        # Flink's paper-era network-buffer pool: 2048 buffers over
+        # 16-way parallelism.
+        depth = queue_depth_from_buffers(2048, 16)
         if tracer is not None:
             job_span = tracer.begin("job", "continuous-pipeline", 0.0)
         driver = _continuous_driver(
             cluster, state, model, checkpoint_interval, depth, cursor,
             shedding, crash_log)
-    elif batch_policy is not None:
-        driver = _dstream_adaptive_driver(
-            cluster, state, model, batch_interval, checkpoint_interval,
-            cursor, batch_policy, crash_log)
     else:
         driver = _dstream_driver(
             cluster, state, model, batch_interval, checkpoint_interval,
-            cursor, crash_log)
+            cursor, batch_policy, crash_log)
     cluster.run_process(driver)
     makespan = cluster.now
 
@@ -1057,15 +978,9 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
         if admitted == 0:
             continue
         mid = plan.slice_midpoint(k)
-        if state.floors[k] is not None:
-            floor = state.floors[k]
-        elif engine == "flink":
+        floor = state.floors[k]
+        if floor is None:
             floor = plan.slice_close(k) - mid
-        else:
-            b = min(int(math.ceil(plan.duration / batch_interval
-                                  - 1e-9)) - 1,
-                    int((plan.slice_close(k) - 1e-9) // batch_interval))
-            floor = (b + 1) * batch_interval - mid
         samples.append((completion - mid, floor, float(admitted)))
 
     p99_bound = math.nan

@@ -37,8 +37,8 @@ into "survives production weather":
 
 Crash *schedules* come from PR 5's stochastic fault model:
 :func:`compile_crash_schedule` compiles per-node Poisson crash
-arrivals into a sorted tuple of absolute crash times, replacing the
-single ``crash_at``.  All randomness (jitter, arrivals) is a pure
+arrivals into a sorted tuple of absolute crash times, a run's
+``crash_times``.  All randomness (jitter, arrivals) is a pure
 function of the seed and is spent before or outside the simulation, so
 every run remains bit-identical at any ``--jobs``.
 """
@@ -438,7 +438,7 @@ def compile_crash_schedule(seed: int, nodes: int, duration: float,
 # ----------------------------------------------------------------------
 # campaign policy bundles
 # ----------------------------------------------------------------------
-def resolve_policy(engine: str, policy: str, restart_delay: float = 2.0):
+def resolve_policy(engine: str, policy: str):
     """Map a campaign policy label to one engine's mechanism bundle:
     ``(restart_strategy, shedding, batch_policy)``.
 
@@ -448,7 +448,7 @@ def resolve_policy(engine: str, policy: str, restart_delay: float = 2.0):
     engine) or the PID batch-interval controller (D-Stream engine).
     """
     if policy == "none":
-        return FixedDelayRestart(delay=restart_delay), None, None
+        return FixedDelayRestart(), None, None
     if policy == "degrade":
         strategy = ExponentialBackoffRestart()
         if engine == "flink":

@@ -38,7 +38,7 @@ resumes bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..harness.campaign import cell_delay, run_campaign
@@ -121,34 +121,6 @@ class StreamingCell:
     gap: bool = False
     gap_detail: Optional[str] = None
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine, "arrival_kind": self.arrival_kind,
-            "load_fraction": self.load_fraction,
-            "checkpoint_interval": self.checkpoint_interval,
-            "nodes": self.nodes, "seed": self.seed,
-            "duration": self.duration,
-            "batch_interval": self.batch_interval,
-            "crash_at": self.crash_at,
-            "offered_rate": self.offered_rate,
-            "plan_digest": self.plan_digest,
-            "total_records": self.total_records,
-            "processed_records": self.processed_records,
-            "p50": self.p50, "p95": self.p95, "p99": self.p99,
-            "mean_latency": self.mean_latency, "stable": self.stable,
-            "drain_seconds": self.drain_seconds,
-            "checkpoints": self.checkpoints, "makespan": self.makespan,
-            "crashed": self.crashed,
-            "replayed_records": self.replayed_records,
-            "recovery_seconds": self.recovery_seconds,
-            "sim_events": self.sim_events,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "StreamingCell":
-        return StreamingCell(**payload)
-
     def describe(self) -> str:
         head = (f"{self.engine:5s} {self.arrival_kind:7s} "
                 f"load {self.load_fraction:.2f} ck {self.checkpoint_interval:g}s")
@@ -180,8 +152,8 @@ def _cell_task(engine: str, kind: str, load_fraction: float,
     result = run_streaming(
         engine, arrivals, duration=duration, nodes=nodes, model=model,
         seed=seed, batch_interval=batch_interval,
-        checkpoint_interval=checkpoint_interval, crash_at=crash_at,
-        strict=strict)
+        checkpoint_interval=checkpoint_interval,
+        crash_times=() if crash_at is None else (crash_at,), strict=strict)
     cell = StreamingCell(
         engine=engine, arrival_kind=kind, load_fraction=load_fraction,
         checkpoint_interval=checkpoint_interval, nodes=nodes, seed=seed,
@@ -198,7 +170,7 @@ def _cell_task(engine: str, kind: str, load_fraction: float,
         replayed_records=result.replayed_records,
         recovery_seconds=result.recovery_seconds,
         sim_events=result.sim_events)
-    return cell.payload()
+    return asdict(cell)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +209,7 @@ def _decode(cell_type, key: Dict[str, Any], result: Any):
     if isinstance(result, TaskFailure):
         identity = {k: v for k, v in key.items() if k != "figure_id"}
         return cell_type(**identity, gap=True, gap_detail=result.describe())
-    return cell_type.from_payload(result)
+    return cell_type(**result)
 
 
 def streaming_sweep(
@@ -346,39 +318,6 @@ class DegradeCell:
     gap: bool = False
     gap_detail: Optional[str] = None
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine, "load_multiple": self.load_multiple,
-            "fault_rate": self.fault_rate, "policy": self.policy,
-            "nodes": self.nodes, "seed": self.seed,
-            "duration": self.duration,
-            "batch_interval": self.batch_interval,
-            "offered_rate": self.offered_rate,
-            "plan_digest": self.plan_digest,
-            "crash_schedule": list(self.crash_schedule),
-            "total_records": self.total_records,
-            "processed_records": self.processed_records,
-            "dropped_records": self.dropped_records,
-            "lost_records": self.lost_records,
-            "goodput": self.goodput,
-            "loss_fraction": self.loss_fraction,
-            "p50": self.p50, "p99": self.p99,
-            "p99_bound": self.p99_bound,
-            "availability": self.availability,
-            "crashes": self.crashes, "restarts": self.restarts,
-            "job_failed": self.job_failed, "stable": self.stable,
-            "makespan": self.makespan,
-            "downtime_seconds": self.downtime_seconds,
-            "shed_events": self.shed_events,
-            "recovery_seconds": self.recovery_seconds,
-            "sim_events": self.sim_events,
-            "gap": self.gap, "gap_detail": self.gap_detail,
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, Any]) -> "DegradeCell":
-        return DegradeCell(**payload)
-
     def describe(self) -> str:
         head = (f"{self.engine:5s} {self.load_multiple:.2f}x "
                 f"faults {self.fault_rate:g} {self.policy:7s}")
@@ -441,7 +380,7 @@ def _degrade_task(engine: str, load_multiple: float, fault_rate: float,
         shed_events=result.shed_events,
         recovery_seconds=result.recovery_seconds,
         sim_events=result.sim_events)
-    return cell.payload()
+    return asdict(cell)
 
 
 def degradation_sweep(

@@ -20,6 +20,7 @@ stores these digests under ``tests/golden/`` and re-checks them.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import asdict
 from typing import Any, Dict, List
 
 import numpy as np
@@ -153,7 +154,7 @@ def resilience_payload(fig) -> Dict[str, Any]:
         "nodes": fig.nodes,
         "rates": list(fig.rates),
         "trials": fig.trials,
-        "cells": [cell.payload() for cell in fig.cells],
+        "cells": [asdict(cell) for cell in fig.cells],
     }
 
 
@@ -171,7 +172,7 @@ def streaming_payload(fig) -> Dict[str, Any]:
         "figure_id": fig.figure_id,
         "nodes": fig.nodes,
         "duration": fig.duration,
-        "cells": [cell.payload() for cell in fig.cells],
+        "cells": [asdict(cell) for cell in fig.cells],
     }
 
 
@@ -190,7 +191,7 @@ def tenancy_payload(fig) -> Dict[str, Any]:
         "loads": list(fig.loads),
         "policies": list(fig.policies),
         "trials": fig.trials,
-        "cells": [cell.payload() for cell in fig.cells],
+        "cells": [asdict(cell) for cell in fig.cells],
     }
 
 

@@ -1,9 +1,11 @@
 """The paper-scale workload catalogue: what runs at a given scale.
 
-:func:`build_config` returns the paper's preset for a workload at a
-cluster size, and :func:`build_workload` the workload itself, sized as
-the paper sized it for that many nodes.  The CLI and the capacity
-planner (:mod:`repro.serve.planner`) both build their runs here.
+:data:`WORKLOADS` names the six workloads.  :func:`build_config`
+returns the paper's preset for a workload at a cluster size, and
+:func:`build_workload` the workload itself, sized as the paper sized
+it for that many nodes.  The CLI and the capacity planner
+(:mod:`repro.serve.planner`) both take their workload names from
+here and build their runs here.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from .pagerank import PageRank
 from .terasort import TeraSort
 from .wordcount import WordCount
 
-__all__ = ["build_config", "build_workload"]
+__all__ = ["WORKLOADS", "build_config", "build_workload"]
 
 GiB = float(2**30)
+
+#: Every workload name the builders below accept.
+WORKLOADS = ("wordcount", "grep", "terasort", "kmeans", "pagerank",
+             "connected-components")
 
 
 def build_config(workload: str, nodes: int) -> ExperimentConfig:

@@ -11,6 +11,7 @@ wrote (so their stores still resume).
 
 import json
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -191,7 +192,7 @@ def test_sweep_keys_are_pinned(tmp_path, no_fan_out):
 def test_fig19_keys_are_pinned(tmp_path, no_fan_out):
     cell = ResilienceCell(engine="flink", workload="wordcount", nodes=4,
                           rate=0.0, trial=0, seed=0, plan_digest=JOURNALED)
-    journal = {PINNED["fig19"]: cell.payload()}
+    journal = {PINNED["fig19"]: asdict(cell)}
     fig = _resume(tmp_path, journal, lambda store: resilience_sweep(
         workloads=WORDCOUNT_4, engines=("flink",), rates=(0.0,), nodes=4,
         checkpoint=store, figure_id="fig19"))
@@ -203,7 +204,7 @@ def test_fig20_keys_are_pinned(tmp_path, no_fan_out):
                          load_fraction=0.3, checkpoint_interval=10.0,
                          nodes=4, seed=0, duration=5.0, batch_interval=1.0,
                          plan_digest=JOURNALED)
-    journal = {PINNED["fig20"]: cell.payload()}
+    journal = {PINNED["fig20"]: asdict(cell)}
     fig = _resume(tmp_path, journal, lambda store: streaming_sweep(
         "fig20", engines=("flink",), arrival_kinds=("poisson",),
         load_fractions=(0.3,), nodes=4, duration=5.0, checkpoint=store))
@@ -214,7 +215,7 @@ def test_fig22_keys_are_pinned(tmp_path, no_fan_out):
     cell = DegradeCell(engine="flink", load_multiple=1.0, fault_rate=0.0,
                        policy="none", nodes=4, seed=0, duration=5.0,
                        batch_interval=1.0, plan_digest=JOURNALED)
-    journal = {PINNED["fig22"]: cell.payload()}
+    journal = {PINNED["fig22"]: asdict(cell)}
     fig = _resume(tmp_path, journal, lambda store: degradation_sweep(
         "fig22", engines=("flink",), load_multiples=(1.0,),
         fault_rates=(0.0,), policies=("none",), nodes=4, duration=5.0,
@@ -225,7 +226,7 @@ def test_fig22_keys_are_pinned(tmp_path, no_fan_out):
 def test_fig23_keys_are_pinned(tmp_path, no_fan_out):
     cell = TenancyCell(policy="fifo", load=0.3, trial=0, seed=0, nodes=4,
                        plan_digest=JOURNALED)
-    journal = {PINNED["fig23"]: cell.payload()}
+    journal = {PINNED["fig23"]: asdict(cell)}
     fig = _resume(tmp_path, journal, lambda store: tenancy_sweep(
         policies=("fifo",), loads=(0.3,), nodes=4, jobs_target=2,
         templates=WC_TEMPLATE, queues=(QueueConfig("prod"),),

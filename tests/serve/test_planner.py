@@ -182,6 +182,40 @@ def test_plan_cli_crash_is_one_error_line_and_exit_1(monkeypatch, capsys):
     assert "answer:" not in captured.out
 
 
+# ----------------------------------------------------------------------
+# an exception inside one candidate's evaluation fails that cell only
+# ----------------------------------------------------------------------
+def _raise_for_spark(desc):
+    """Raise inside the worker for every spark candidate; forked workers
+    unpickle this by reference."""
+    if desc["engine"] == "spark":
+        raise RuntimeError("simulator bug")
+    return evaluate_candidate(desc)
+
+
+def test_in_task_exception_is_a_worker_failure_cell(monkeypatch):
+    monkeypatch.setattr("repro.serve.planner.evaluate_candidate",
+                        _raise_for_spark)
+    # plan_capacity_sync prices every level through evaluate_on_pool on
+    # a private warm-worker pool.
+    payload = plan_capacity_sync(CapacityQuery(**QUICK), jobs=2,
+                                 timeout=120.0)
+    results = {engine: [c["result"] for c in payload["cells"]
+                        if c["candidate"]["engine"] == engine]
+               for engine in ("spark", "flink")}
+    assert results["spark"] and results["flink"]
+    for result in results["spark"]:
+        assert result == {
+            "ok": False, "feasible": False,
+            "reason": "worker-failure: RuntimeError: simulator bug",
+            "advice": [], "duration": None, "sim_events": 0}
+    # The siblings are still priced, and the plan still answers.
+    assert all(r["ok"] and r["duration"] > 0 for r in results["flink"])
+    answer = payload["answer"]
+    assert answer["feasible"]
+    assert (answer["engine"], answer["nodes"]) == ("flink", 2)
+
+
 def test_synthesize_prefers_small_then_fast():
     query = CapacityQuery(workload="grep", slo_seconds=100.0)
 

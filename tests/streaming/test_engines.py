@@ -85,7 +85,7 @@ def test_unknown_engine_rejected():
                       batch_interval=0.0)
     with pytest.raises(ValueError):
         run_streaming("flink", PoissonArrivals(1000), duration=1.0,
-                      crash_at=-1.0)
+                      crash_times=[-1.0])
 
 
 def test_queue_depth_from_buffers():
@@ -157,8 +157,8 @@ def test_describe_mentions_the_essentials():
 def test_crash_recovery_bookkeeping(engine):
     cap = CAP_F if engine == "flink" else CAP_S
     r = run_streaming(engine, PoissonArrivals(0.5 * cap), duration=24.0,
-                      nodes=NODES, checkpoint_interval=4.0, crash_at=13.0,
-                      restart_delay=2.0)
+                      nodes=NODES, checkpoint_interval=4.0,
+                      crash_times=[13.0])
     assert r.crashed
     # Recovery cannot beat the restart delay.
     assert r.recovery_seconds > 2.0
@@ -175,7 +175,7 @@ def test_crash_recovery_bookkeeping(engine):
 def test_longer_checkpoint_interval_replays_and_recovers_more():
     rows = [run_streaming("flink", PoissonArrivals(0.5 * CAP_F),
                           duration=24.0, nodes=NODES,
-                          checkpoint_interval=ck, crash_at=13.0)
+                          checkpoint_interval=ck, crash_times=[13.0])
             for ck in (2.0, 9.0)]
     assert rows[0].replayed_records < rows[1].replayed_records
     assert rows[0].recovery_seconds < rows[1].recovery_seconds
@@ -184,7 +184,7 @@ def test_longer_checkpoint_interval_replays_and_recovers_more():
 def test_flink_crash_rolls_watermark_back():
     r = run_streaming("flink", PoissonArrivals(0.5 * CAP_F),
                       duration=24.0, nodes=NODES, checkpoint_interval=9.0,
-                      crash_at=13.0)
+                      crash_times=[13.0])
     # The trace must contain the rollback: a later entry with a lower
     # watermark than some earlier entry.
     regressed = any(r.watermarks[i + 1][1] < r.watermarks[i][1]

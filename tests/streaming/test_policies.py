@@ -221,30 +221,13 @@ def test_second_crash_during_restart_drain_of_the_first(engine):
     cap = CAP_F if engine == "flink" else CAP_S
     r = run_streaming(engine, PoissonArrivals(0.4 * cap), duration=30.0,
                       nodes=NODES, checkpoint_interval=4.0,
-                      crash_times=[8.0, 8.5], restart_delay=2.0,
-                      strict=True)
+                      crash_times=[8.0, 8.5], strict=True)
     assert len(r.crashes) == 2
     assert r.restarts == 2
     # The second crash hit after the first restart completed.
     assert r.crashes[1] >= r.crashes[0] + 2.0 - 1e-9
     assert r.processed_records == r.total_records
     assert r.final_watermark == pytest.approx(30.0)
-
-
-@pytest.mark.parametrize("engine", ["flink", "spark"])
-def test_single_crash_legacy_path_unchanged(engine):
-    """``crash_at`` + ``restart_delay`` must behave exactly like a
-    one-entry ``crash_times`` schedule with a fixed-delay strategy."""
-    cap = CAP_F if engine == "flink" else CAP_S
-    legacy = run_streaming(engine, PoissonArrivals(0.5 * cap),
-                           duration=24.0, nodes=NODES,
-                           checkpoint_interval=4.0, crash_at=13.0,
-                           restart_delay=2.0)
-    explicit = run_streaming(engine, PoissonArrivals(0.5 * cap),
-                             duration=24.0, nodes=NODES,
-                             checkpoint_interval=4.0, crash_times=[13.0],
-                             restart_strategy=FixedDelayRestart(delay=2.0))
-    assert legacy.payload() == explicit.payload()
 
 
 @pytest.mark.parametrize("engine", ["flink", "spark"])
@@ -356,8 +339,8 @@ def test_goodput_loss_and_availability_accessors():
         r.dropped_records / r.total_records)
     assert r.availability == pytest.approx(1.0)
     crashed = run_streaming("flink", PoissonArrivals(0.4 * CAP_F),
-                            duration=20.0, nodes=NODES, crash_at=10.0,
-                            restart_delay=2.0)
+                            duration=20.0, nodes=NODES,
+                            crash_times=[10.0])
     assert crashed.availability < 1.0
     assert crashed.downtime_seconds > 0
 

@@ -95,6 +95,32 @@ def test_faults_command_both_modes(capsys):
     assert "estimate" in out and "simulated" in out
 
 
+#: Flink's CoGroup solution set does not fit in managed memory at 4
+#: nodes (Table VII's failure mode), so these runs fail in simulation.
+FLINK_OOM = ["--workload", "pagerank", "--nodes", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--engine", "flink"] + FLINK_OOM,
+    ["trace", "--engines", "flink", "spark", "--jobs", "1"] + FLINK_OOM,
+    ["trace", "--engines", "flink", "spark", "--jobs", "2"] + FLINK_OOM,
+    ["faults", "--engines", "flink", "--mode", "simulate"] + FLINK_OOM,
+    ["faults", "--engines", "flink", "--mode", "estimate"] + FLINK_OOM,
+], ids=["run", "trace-jobs1", "trace-jobs2", "faults-simulate",
+        "faults-estimate"])
+def test_failed_run_is_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: flink: ")
+    assert "CoGroup solution set" in lines[0]
+    assert "Traceback" not in captured.err
+    if argv[0] == "trace":
+        # The sibling engine's run is still reported.
+        assert captured.out.startswith("spark/pagerank x4:")
+
+
 def test_resilience_command(capsys):
     rc = main(["resilience", "--workloads", "wordcount", "--rates", "0",
                "1", "--nodes", "8"])

@@ -264,7 +264,7 @@ def test_streaming_rollback_sanctions_a_watermark_regression():
 
 
 def test_streaming_restart_count_mismatch_is_flagged():
-    result = _streaming_result(crash_at=4.0)
+    result = _streaming_result(crash_times=[4.0])
     result.restarts += 1
     checker = InvariantChecker()
     checker.audit_streaming(result)
