@@ -103,12 +103,10 @@ import argparse
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
-from .cluster import Cluster
 from .core import render_bar_table, render_run
 from .harness import figures as figure_registry
 from .harness.checkpoint import CheckpointError, CheckpointStore
-from .harness.runner import RunFailed, run_correlated, run_traced
-from .hdfs import HDFS
+from .harness.runner import RunFailed, deploy, run_correlated, run_traced
 from .workloads.catalogue import WORKLOADS, build_config, build_workload
 
 __all__ = ["main", "build_workload", "build_config", "WORKLOADS",
@@ -573,20 +571,13 @@ def cmd_table7(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    from .engines.flink.engine import FlinkEngine
-    from .engines.spark.engine import SparkEngine
     workload = build_workload(args.workload, args.nodes, graph=args.graph)
     config = build_config(args.workload, args.nodes)
-    cluster = Cluster(args.nodes)
-    hdfs = HDFS(cluster, block_size=config.hdfs_block_size)
-    spark = SparkEngine(cluster, hdfs, config.spark)
-    flink = FlinkEngine(cluster, hdfs, config.flink)
-    for plan in workload.spark_jobs():
-        print(spark.explain(plan))
-        print()
-    for plan in workload.flink_jobs():
-        print(flink.explain(plan))
-        print()
+    for engine in ("spark", "flink"):
+        deployment = deploy(engine, workload, config)
+        for plan in workload.jobs(engine):
+            print(deployment.engine.explain(plan))
+            print()
     return 0
 
 

@@ -9,13 +9,13 @@ follow the paper's stated formulas (e.g. Table V's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping
 
 from .parameters import ConfigError, FlinkConfig, SparkConfig
 
 __all__ = [
-    "ExperimentConfig",
+    "ExperimentConfig", "with_overrides",
     "wordcount_grep_preset", "terasort_preset",
     "kmeans_preset", "small_graph_preset", "medium_graph_preset",
     "large_graph_preset",
@@ -37,6 +37,28 @@ class ExperimentConfig:
     flink: FlinkConfig
     hdfs_block_size: float
     nodes: int
+
+
+def with_overrides(config: ExperimentConfig,
+                   overrides: Mapping[str, object]) -> ExperimentConfig:
+    """``config`` with ``overrides`` applied.
+
+    Dotted ``spark.*`` / ``flink.*`` keys replace engine parameters;
+    any other key names a top-level field (``hdfs_block_size``,
+    ``nodes``).  A key naming no field raises ``TypeError``.
+    """
+    top: Dict[str, object] = {}
+    engines: Dict[str, Dict[str, object]] = {"spark": {}, "flink": {}}
+    for key, value in overrides.items():
+        section, dot, name = key.partition(".")
+        if dot and section in engines:
+            engines[section][name] = value
+        else:
+            top[key] = value
+    for section, params in engines.items():
+        if params:
+            top[section] = replace(getattr(config, section), **params)
+    return replace(config, **top)
 
 
 # ----------------------------------------------------------------------

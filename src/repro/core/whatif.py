@@ -78,32 +78,22 @@ class WhatIfResult:
 def _run(engine: str, workload: Workload, config: ExperimentConfig,
          spec: HardwareSpec, seed: int) -> float:
     # Local import to avoid a harness<->core cycle.
-    from ..cluster.topology import Cluster
-    from ..engines.flink.engine import FlinkEngine
-    from ..engines.spark.engine import SparkEngine
-    from ..hdfs.filesystem import HDFS
-
-    cluster = Cluster(config.nodes, spec=spec, seed=seed)
-    hdfs = HDFS(cluster, block_size=config.hdfs_block_size, seed=seed)
-    for path, size in workload.input_files():
-        hdfs.create_file(path, size)
-    eng = (SparkEngine(cluster, hdfs, config.spark) if engine == "spark"
-           else FlinkEngine(cluster, hdfs, config.flink))
-    start = cluster.now
-    for plan in workload.jobs(engine):
-        result = eng.run(plan)
-        if not result.success:
-            raise RuntimeError(f"what-if run failed: {result.failure}")
-    return cluster.now - start
+    from ..harness.runner import RunFailed, deploy
+    result = deploy(engine, workload, config, seed=seed,
+                    spec=spec).run(workload)
+    if not result.success:
+        raise RunFailed(f"what-if run failed: {result.failure}")
+    return result.duration
 
 
 def what_if(engine: str, workload: Workload, config: ExperimentConfig,
             resource: str, seed: int = 0,
             base_spec: HardwareSpec = GRID5000_PARAVANCE) -> WhatIfResult:
-    """Speedup bound if ``resource`` were infinitely fast."""
+    """Speedup bound if ``resource`` were infinitely fast.  Raises
+    :class:`~repro.harness.runner.RunFailed` if either run fails."""
+    idealised_spec = _idealised_spec(base_spec, resource)
     baseline = _run(engine, workload, config, base_spec, seed)
-    idealised = _run(engine, workload, config,
-                     _idealised_spec(base_spec, resource), seed)
+    idealised = _run(engine, workload, config, idealised_spec, seed)
     return WhatIfResult(engine=engine, workload=workload.name,
                         resource=resource, baseline_seconds=baseline,
                         idealised_seconds=idealised)

@@ -1,9 +1,9 @@
 """The fault-injected experiment entry point.
 
-:func:`run_with_faults` mirrors :func:`repro.harness.runner.run_once` —
-fresh cluster, HDFS import, engine deployment — then arms a fault plan
-on the deployment and runs the workload with the engine's recovery
-machinery engaged:
+:func:`run_with_faults` deploys through the shared
+:func:`repro.harness.runner.deploy` — fresh cluster, HDFS import,
+engine deployment — then arms a fault plan on the deployment and runs
+the workload with the engine's recovery machinery engaged:
 
 * **spark** — a :class:`~repro.faults.recovery.SparkRecoveryRuntime`
   is installed on the engine; stages run fault-guarded and lost task
@@ -22,18 +22,15 @@ audit (capacity rescaling bookkeeping and task-ledger conservation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..cluster.topology import Cluster
 from ..config.presets import ExperimentConfig
 from ..engines.common.result import EngineRunResult
-from ..engines.flink.engine import FlinkEngine
-from ..engines.spark.engine import SparkEngine
 from ..harness.faults import FaultRecoveryResult, run_with_failure
-from ..harness.runner import RunFailed, run_once
-from ..hdfs.filesystem import HDFS
+from ..harness.runner import Deployment, RunFailed, deploy, run_once
 from ..validation.invariants import InvariantChecker, strict_enabled
 from ..workloads.base import Workload
 from .injector import FaultInjector, FaultTimeline
@@ -130,32 +127,13 @@ class FaultedRunResult:
                 f"baseline (+{100 * self.overhead_fraction:.0f}%){detail}")
 
 
-def _merge(merged: Optional[EngineRunResult],
-           result: EngineRunResult,
-           workload_name: str) -> EngineRunResult:
-    """The multi-job merge of :func:`run_once`, shared here."""
-    if merged is None:
-        result.workload = workload_name
-        return result
-    merged.jobs.extend(result.jobs)
-    merged.end = result.end
-    merged.stage_windows.extend(result.stage_windows)
-    for key, value in result.metrics.items():
-        merged.metrics[key] = merged.metrics.get(key, 0.0) + value
-    if not result.success:
-        merged.success = False
-        merged.failure = result.failure
-        merged.failure_kind = result.failure_kind
-    return merged
-
-
-def _flink_job_with_restarts(engine: FlinkEngine, plan_job,
-                             cluster: Cluster, state: FaultState,
+def _flink_job_with_restarts(deployment: Deployment, state: FaultState,
                              timeline: FaultTimeline,
                              policy: FlinkRestartPolicy,
-                             restarts: List[Tuple[float, float]]
-                             ) -> EngineRunResult:
+                             restarts: List[Tuple[float, float]],
+                             plan_job) -> EngineRunResult:
     """Run one Flink job, restarting the whole pipeline on lost tasks."""
+    engine, cluster = deployment.engine, deployment.cluster
     attempt = 0
     first_start: Optional[float] = None
     while True:
@@ -221,43 +199,28 @@ def run_with_faults(engine_name: str, workload: Workload,
     resolved = plan.resolve(baseline.duration)
 
     checker = InvariantChecker() if strict_enabled(strict) else None
-    cluster = Cluster(config.nodes, seed=seed)
+    deployment = deploy(engine_name, workload, config, seed=seed)
+    cluster = deployment.cluster
     state = FaultState(cluster)
     cluster.fault_state = state
     if checker is not None:
         checker.attach(cluster)
-    hdfs = HDFS(cluster, block_size=config.hdfs_block_size, seed=seed)
-    for path, size in workload.input_files():
-        hdfs.create_file(path, size)
     timeline = FaultTimeline()
     injector = FaultInjector(cluster, resolved, state, timeline)
     injector.arm()
 
     restarts: List[Tuple[float, float]] = []
+    run_job = None
     if engine_name == "spark":
-        engine = SparkEngine(cluster, hdfs, config.spark)
-        engine.recovery = SparkRecoveryRuntime(cluster, state, timeline,
-                                               retry_policy)
-    elif engine_name == "flink":
-        engine = FlinkEngine(cluster, hdfs, config.flink)
+        deployment.engine.recovery = SparkRecoveryRuntime(
+            cluster, state, timeline, retry_policy)
+    else:
         restart_policy = restart_policy or FlinkRestartPolicy()
         restart_policy.validate()
-    else:
-        raise ValueError(f"unknown engine {engine_name!r}")
-
-    merged: Optional[EngineRunResult] = None
-    for plan_job in workload.jobs(engine_name):
-        if engine_name == "flink":
-            result = _flink_job_with_restarts(
-                engine, plan_job, cluster, state, timeline,
-                restart_policy, restarts)
-        else:
-            result = engine.run(plan_job)
-        merged = _merge(merged, result, workload.name)
-        if not result.success:
-            break
-    assert merged is not None
-    merged.sim_events = cluster.sim.steps_executed
+        run_job = functools.partial(_flink_job_with_restarts, deployment,
+                                    state, timeline, restart_policy,
+                                    restarts)
+    merged = deployment.run(workload, run_job)
 
     ledger = state.ledger
     faulted = FaultedRunResult(
@@ -271,17 +234,14 @@ def run_with_faults(engine_name: str, workload: Workload,
         ledger=ledger.payload())
 
     if checker is not None:
-        checker.audit_cluster(cluster)
-        checker.audit_engine(engine)
-        checker.audit_result(merged)
         max_attempts = None
         if engine_name == "spark":
             max_attempts = (retry_policy or RetryPolicy()).max_retries
         checker.audit_faults(state, max_attempts=max_attempts)
-        checker.require_clean(
+        deployment.audit(
+            checker, merged,
             f"faulted {engine_name}/{workload.name} x{config.nodes} "
             f"seed={seed}")
-        checker.detach(cluster)
     return faulted
 
 

@@ -8,22 +8,30 @@ execution excluding the time to start and stop the cluster ... We make
 sure to clear the OS buffer cache and temporary generated data or logs
 before a new execution starts."
 
-:func:`run_once` performs one such run on a freshly deployed simulated
-cluster (fresh cluster == cleared caches); :func:`run_trials` repeats
-it with distinct seeds and aggregates mean/std, which is what every
-figure plots.
+:func:`deploy` is that cycle's deployment step, and the only one in
+the package: a fresh simulated cluster (fresh cluster == cleared
+caches), HDFS with the dataset imported, and the standalone engine.
+:meth:`Deployment.run` executes the workload's jobs and
+:meth:`Deployment.audit` checks the finished run.  Plain, faulted
+(:func:`repro.faults.run.run_with_faults`), what-if
+(:func:`repro.core.whatif.what_if`) and ``repro explain`` runs all
+deploy through it.  :func:`run_once` performs one plain run;
+:func:`run_trials` repeats it with distinct seeds and aggregates
+mean/std, which is what every figure plots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..cluster.node import GRID5000_PARAVANCE, HardwareSpec
 from ..cluster.topology import Cluster
 from ..config.presets import ExperimentConfig
+from ..engines.common.operators import LogicalPlan
 from ..engines.common.result import EngineRunResult
 from ..engines.flink.engine import FlinkEngine
 from ..engines.spark.engine import SparkEngine
@@ -34,7 +42,7 @@ from ..observability import (CriticalPath, SpanAttribution, SpanTracer,
 from ..validation.invariants import InvariantChecker, strict_enabled
 from ..workloads.base import Workload
 
-__all__ = ["Deployment", "RunFailed", "TrialStats", "TracedRun",
+__all__ = ["Deployment", "RunFailed", "TrialStats", "TracedRun", "deploy",
            "run_once", "run_traced", "run_trials"]
 
 
@@ -44,14 +52,79 @@ class RunFailed(RuntimeError):
     carries the run's failure."""
 
 
+def _merge(merged: Optional[EngineRunResult], result: EngineRunResult,
+           workload_name: str) -> EngineRunResult:
+    """Fold one job's result into the workload's run so far."""
+    if merged is None:
+        result.workload = workload_name
+        return result
+    merged.jobs.extend(result.jobs)
+    merged.end = result.end
+    merged.stage_windows.extend(result.stage_windows)
+    for key, value in result.metrics.items():
+        merged.metrics[key] = merged.metrics.get(key, 0.0) + value
+    if not result.success:
+        merged.success = False
+        merged.failure = result.failure
+        merged.failure_kind = result.failure_kind
+    return merged
+
+
 @dataclass
 class Deployment:
-    """One standalone deployment: cluster + HDFS + engine + traces."""
+    """One standalone deployment: cluster + HDFS (dataset imported) +
+    engine.  Built by :func:`deploy`."""
 
+    engine_name: str
     cluster: Cluster
     hdfs: HDFS
     engine: object
-    result: EngineRunResult
+
+    def run(self, workload: Workload,
+            run_job: Optional[Callable[[LogicalPlan], EngineRunResult]] = None
+            ) -> EngineRunResult:
+        """Run the workload's jobs in order, stopping at the first that
+        fails; returns their merged result.  ``run_job`` replaces
+        ``engine.run`` for each job (the faulted Flink restart loop)."""
+        run_job = run_job or self.engine.run
+        merged: Optional[EngineRunResult] = None
+        for plan in workload.jobs(self.engine_name):
+            result = run_job(plan)
+            merged = _merge(merged, result, workload.name)
+            if not result.success:
+                break
+        assert merged is not None
+        merged.sim_events = self.cluster.sim.steps_executed
+        return merged
+
+    def audit(self, checker: InvariantChecker, result: EngineRunResult,
+              context: str) -> None:
+        """The post-run audit: cluster, engine and result, then raise
+        on any violation and detach ``checker``."""
+        checker.audit_cluster(self.cluster)
+        checker.audit_engine(self.engine)
+        checker.audit_result(result)
+        checker.require_clean(context)
+        checker.detach(self.cluster)
+
+
+def deploy(engine_name: str, workload: Workload, config: ExperimentConfig,
+           seed: int = 0, spec: HardwareSpec = GRID5000_PARAVANCE,
+           trace_detail: str = "full") -> Deployment:
+    """A fresh cluster with HDFS, the workload's dataset imported, and
+    the named engine deployed on it."""
+    cluster = Cluster(config.nodes, spec=spec, seed=seed,
+                      trace_detail=trace_detail)
+    hdfs = HDFS(cluster, block_size=config.hdfs_block_size, seed=seed)
+    for path, size in workload.input_files():
+        hdfs.create_file(path, size)
+    if engine_name == "spark":
+        engine = SparkEngine(cluster, hdfs, config.spark)
+    elif engine_name == "flink":
+        engine = FlinkEngine(cluster, hdfs, config.flink)
+    else:
+        raise ValueError(f"unknown engine {engine_name!r}")
+    return Deployment(engine_name, cluster, hdfs, engine)
 
 
 @dataclass
@@ -123,59 +196,28 @@ def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
     checker = InvariantChecker() if strict_enabled(strict) else None
     if checker is not None or tracer is not None:
         trace_detail = "full"
-    cluster = Cluster(config.nodes, seed=seed, trace_detail=trace_detail)
+    deployment = deploy(engine_name, workload, config, seed=seed,
+                        trace_detail=trace_detail)
+    cluster = deployment.cluster
     if checker is not None:
         checker.attach(cluster)
-    if tracer is not None:
-        cluster.tracer = tracer
-    hdfs = HDFS(cluster, block_size=config.hdfs_block_size, seed=seed)
-    for path, size in workload.input_files():
-        hdfs.create_file(path, size)
-    if engine_name == "spark":
-        engine = SparkEngine(cluster, hdfs, config.spark)
-    elif engine_name == "flink":
-        engine = FlinkEngine(cluster, hdfs, config.flink)
-    else:
-        raise ValueError(f"unknown engine {engine_name!r}")
-
+    cluster.tracer = tracer
     run_span = None
     if tracer is not None:
         run_span = tracer.begin(
             "run", f"{engine_name}/{workload.name}", cluster.now)
-    merged: Optional[EngineRunResult] = None
-    for plan in workload.jobs(engine_name):
-        result = engine.run(plan)
-        if merged is None:
-            merged = result
-            merged.workload = workload.name
-        else:
-            merged.jobs.extend(result.jobs)
-            merged.end = result.end
-            merged.stage_windows.extend(result.stage_windows)
-            for key, value in result.metrics.items():
-                merged.metrics[key] = merged.metrics.get(key, 0.0) + value
-            if not result.success:
-                merged.success = False
-                merged.failure = result.failure
-        if not result.success:
-            break
-    assert merged is not None
-    merged.sim_events = cluster.sim.steps_executed
-    if tracer is not None and merged.success:
-        # Closing at merged.end makes root duration == result duration
+    result = deployment.run(workload)
+    if tracer is not None and result.success:
+        # Closing at result.end makes root duration == result duration
         # exactly (a property test pins this).
-        tracer.end(run_span, merged.end)
+        tracer.end(run_span, result.end)
     if checker is not None:
-        checker.audit_cluster(cluster)
-        checker.audit_engine(engine)
-        checker.audit_result(merged)
-        checker.require_clean(
+        deployment.audit(
+            checker, result,
             f"{engine_name}/{workload.name} x{config.nodes} seed={seed}")
-        checker.detach(cluster)
     if keep_deployment:
-        merged.metrics["_deployment"] = Deployment(  # type: ignore[assignment]
-            cluster=cluster, hdfs=hdfs, engine=engine, result=merged)
-    return merged
+        result.metrics["_deployment"] = deployment  # type: ignore[assignment]
+    return result
 
 
 @dataclass

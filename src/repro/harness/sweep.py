@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO
 
-from ..config.presets import ExperimentConfig
+from ..config.presets import ExperimentConfig, with_overrides
 from ..validation.invariants import strict_enabled
 from ..workloads.base import Workload
 from .campaign import run_campaign
@@ -23,26 +23,6 @@ from .parallel import TaskFailure
 from .runner import run_once
 
 __all__ = ["sweep", "sweep_rows_to_csv", "best_row"]
-
-
-def _apply_overrides(config: ExperimentConfig,
-                     overrides: Dict[str, object]) -> ExperimentConfig:
-    """Apply ``spark.*`` / ``flink.*`` / top-level override keys."""
-    spark = config.spark
-    flink = config.flink
-    top: Dict[str, object] = {}
-    for key, value in overrides.items():
-        if key.startswith("spark."):
-            spark = spark.with_(**{key[6:]: value})
-        elif key.startswith("flink."):
-            flink = flink.with_(**{key[6:]: value})
-        else:
-            top[key] = value
-    return ExperimentConfig(
-        spark=spark, flink=flink,
-        hdfs_block_size=top.get("hdfs_block_size",
-                                config.hdfs_block_size),
-        nodes=top.get("nodes", config.nodes))
 
 
 def _combo_task(engine: str, workload: Workload, config: ExperimentConfig,
@@ -90,7 +70,9 @@ def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
     """Run the cartesian product of ``grid`` values.
 
     ``grid`` keys use dotted paths: ``"spark.default_parallelism"``,
-    ``"flink.network_buffers"``, or top-level ``"hdfs_block_size"``.
+    ``"flink.network_buffers"``, or top-level ``"hdfs_block_size"``
+    (see :func:`~repro.config.presets.with_overrides`); a key naming no
+    config field raises ``TypeError`` before anything runs.
     Returns one row per combination with the mean duration over the
     trials that completed (NaN plus a ``failure`` message when none
     did; ``completed_trials`` counts the successes behind each mean).
@@ -115,7 +97,7 @@ def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
     cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
-        config = _apply_overrides(base_config, overrides)
+        config = with_overrides(base_config, overrides)
         cells.append(({"engine": engine, "workload": workload.name,
                        "overrides": overrides, "trials": trials,
                        "base_seed": base_seed},

@@ -42,7 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config.advisor import advise_flink, advise_spark
 from ..config.parameters import ConfigError
-from ..config.presets import CORES_PER_NODE, ExperimentConfig
+from ..config.presets import (CORES_PER_NODE, ExperimentConfig,
+                              with_overrides)
 from ..engines.common.serialization import Serializer
 from ..harness.parallel import resolve_jobs
 from ..validation.digest import digest_payload
@@ -176,19 +177,14 @@ def apply_overrides(config: ExperimentConfig, engine: str,
         raise PlanError(f"unknown {engine} override(s) {unknown}; "
                         f"allowed: {sorted(allowed)}")
     kw = dict(overrides)
-    if engine == "spark":
-        if "serializer" in kw:
-            try:
-                kw["serializer"] = Serializer(kw["serializer"])
-            except ValueError:
-                raise PlanError(
-                    f"unknown serializer {kw['serializer']!r}") from None
-        return ExperimentConfig(
-            spark=config.spark.with_(**kw), flink=config.flink,
-            hdfs_block_size=config.hdfs_block_size, nodes=config.nodes)
-    return ExperimentConfig(
-        spark=config.spark, flink=config.flink.with_(**kw),
-        hdfs_block_size=config.hdfs_block_size, nodes=config.nodes)
+    if "serializer" in kw:
+        try:
+            kw["serializer"] = Serializer(kw["serializer"])
+        except ValueError:
+            raise PlanError(
+                f"unknown serializer {kw['serializer']!r}") from None
+    return with_overrides(config, {f"{engine}.{key}": value
+                                   for key, value in kw.items()})
 
 
 def _advise(engine: str, config: ExperimentConfig, nodes: int, plan):

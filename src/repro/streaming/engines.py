@@ -265,38 +265,6 @@ class StreamingRunResult:
                          + f" recovered {rec}")
         return f"{head}: " + ", ".join(parts)
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "engine": self.engine, "arrival_kind": self.arrival_kind,
-            "offered_rate": self.offered_rate, "duration": self.duration,
-            "nodes": self.nodes, "seed": self.seed,
-            "batch_interval": self.batch_interval,
-            "checkpoint_interval": self.checkpoint_interval,
-            "plan_digest": self.plan_digest,
-            "total_records": self.total_records,
-            "processed_records": self.processed_records,
-            "samples": [list(s) for s in self.samples],
-            "watermarks": [list(w) for w in self.watermarks],
-            "checkpoints": self.checkpoints, "makespan": self.makespan,
-            "drain_seconds": self.drain_seconds, "stable": self.stable,
-            "crash_at": self.crash_at, "crashed": self.crashed,
-            "replayed_records": self.replayed_records,
-            "recovery_seconds": self.recovery_seconds,
-            "sim_events": self.sim_events,
-            "crash_schedule": list(self.crash_schedule),
-            "crashes": list(self.crashes), "restarts": self.restarts,
-            "job_failed": self.job_failed, "failed_at": self.failed_at,
-            "downtime_seconds": self.downtime_seconds,
-            "dropped_records": self.dropped_records,
-            "lost_records": self.lost_records,
-            "shed_events": self.shed_events,
-            "rollbacks": list(self.rollbacks),
-            "restart_strategy": self.restart_strategy,
-            "policy": self.policy,
-            "batch_intervals": list(self.batch_intervals),
-            "p99_bound": self.p99_bound,
-        }
-
 
 # ----------------------------------------------------------------------
 # shared run state

@@ -2,17 +2,35 @@
 
 import pytest
 
-from repro.config.presets import terasort_preset, wordcount_grep_preset
+from repro.cluster.topology import Cluster
+from repro.config.presets import (large_graph_preset, terasort_preset,
+                                  wordcount_grep_preset)
 from repro.core.whatif import (RESOURCES, blocked_time_report, what_if)
-from repro.workloads import Grep, TeraSort, WordCount
+from repro.harness.runner import RunFailed
+from repro.workloads import Grep, PageRank, TeraSort, WordCount
+from repro.workloads.datagen.graphs import LARGE_GRAPH
 
 GiB = 2**30
 
 
-def test_unknown_resource_rejected():
-    with pytest.raises(ValueError):
+def test_unknown_resource_rejected(monkeypatch):
+    """The resource is checked before any simulation: it used to be
+    rejected only after a full baseline run."""
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a cluster was built")
+    monkeypatch.setattr(Cluster, "__init__", no_cluster)
+    with pytest.raises(ValueError, match="gpu"):
         what_if("flink", Grep(2 * 24 * GiB), wordcount_grep_preset(2),
                 "gpu")
+
+
+def test_failed_run_raises_run_failed():
+    """Table VII's Flink CoGroup out-of-memory at 27 nodes."""
+    cfg = large_graph_preset(27)
+    wl = PageRank(LARGE_GRAPH, iterations=5,
+                  edge_partitions=cfg.spark.edge_partitions)
+    with pytest.raises(RunFailed, match="what-if run failed: .*CoGroup"):
+        what_if("flink", wl, cfg, "disk")
 
 
 def test_idealised_run_never_slower():

@@ -80,7 +80,7 @@ def test_merge_keeps_stage_windows_of_later_jobs():
     (the failure-recovery analysis charges lineage from them); it used
     to silently drop all windows after the first plan's."""
     from repro.engines.common.result import EngineRunResult
-    from repro.faults.run import _merge
+    from repro.harness.runner import _merge
     first = EngineRunResult(engine="spark", workload="x", nodes=2,
                             success=True, start=0.0, end=10.0,
                             stage_windows=[(0.0, 10.0)],
@@ -89,8 +89,34 @@ def test_merge_keeps_stage_windows_of_later_jobs():
                              success=True, start=10.0, end=25.0,
                              stage_windows=[(10.0, 20.0), (20.0, 25.0)],
                              metrics={"shuffled": 2.0})
+    failed = EngineRunResult(engine="spark", workload="x", nodes=2,
+                             success=False, start=25.0, end=30.0,
+                             failure="out of memory", failure_kind="fatal")
     merged = _merge(None, first, "x")
     merged = _merge(merged, second, "x")
     assert merged.stage_windows == [(0.0, 10.0), (10.0, 20.0), (20.0, 25.0)]
     assert merged.end == 25.0
     assert merged.metrics["shuffled"] == pytest.approx(3.0)
+    assert merged.success and merged.failure_kind is None
+    merged = _merge(merged, failed, "x")
+    assert not merged.success
+    assert merged.failure == "out of memory"
+    assert merged.failure_kind == "fatal"
+
+
+def test_failed_later_job_keeps_failure_kind():
+    """Table VII: Flink's Page Rank counts vertices, then its iterations
+    job dies of the CoGroup out-of-memory error.  The merged result used
+    to carry that failure with ``failure_kind=None``."""
+    from repro.config.presets import large_graph_preset
+    from repro.workloads import PageRank
+    from repro.workloads.datagen.graphs import LARGE_GRAPH
+    cfg = large_graph_preset(27)
+    result = run_once("flink",
+                      PageRank(LARGE_GRAPH, iterations=5,
+                               edge_partitions=cfg.spark.edge_partitions),
+                      cfg)
+    assert not result.success
+    assert [j.name for j in result.jobs] == ["count-vertices"]
+    assert "CoGroup" in result.failure
+    assert result.failure_kind == "fatal"

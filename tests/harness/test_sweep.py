@@ -105,3 +105,12 @@ def test_sweep_top_level_override():
     # Different block sizes change the scan-task granularity, hence time.
     times = [float(r["mean_seconds"]) for r in rows]
     assert times[0] != times[1]
+
+
+@pytest.mark.parametrize("key", ["hdfs_blocksize", "default_parallelism"])
+def test_sweep_unknown_key_rejected(key):
+    """A grid key naming no config field used to be ignored: every row
+    ran the base config, labelled with the key."""
+    with pytest.raises(TypeError, match=key):
+        sweep("spark", WordCount(GiB), wordcount_grep_preset(2),
+              grid={key: [64]})

@@ -6,6 +6,7 @@ wire their spans into the tracer, and survive strict invariant audits.
 """
 
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -101,7 +102,7 @@ def test_run_is_deterministic(engine):
     kwargs = dict(duration=10.0, nodes=NODES, seed=5)
     a = run_streaming(engine, PoissonArrivals(0.5 * cap), **kwargs)
     b = run_streaming(engine, PoissonArrivals(0.5 * cap), **kwargs)
-    assert a.payload() == b.payload()
+    assert asdict(a) == asdict(b)
     assert a.sim_events > 0
 
 

@@ -70,10 +70,13 @@ def test_figure_registry_complete():
 
 
 def test_table7_command(capsys):
-    rc = main(["table7", "--nodes", "97"])
+    # 27 nodes renders both branches: Spark's CC survives, Flink fails
+    # (test_figures checks the 97-node cells themselves).
+    rc = main(["table7", "--nodes", "27"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "97n PR flink" in out
+    assert " 27n CC spark: load " in out
+    assert " 27n PR flink: no (" in out
     assert "Table VII" in out
 
 
