@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 from ..cluster.node import GRID5000_PARAVANCE, HardwareSpec
 from ..config.presets import ExperimentConfig
@@ -75,15 +75,23 @@ class WhatIfResult:
                 f"(<= {100 * self.blocked_fraction:.0f}% blocked on it)")
 
 
-def _run(engine: str, workload: Workload, config: ExperimentConfig,
-         spec: HardwareSpec, seed: int) -> float:
+def _what_ifs(engine: str, workload: Workload, config: ExperimentConfig,
+              resources: Sequence[str], seed: int,
+              base_spec: HardwareSpec) -> Dict[str, WhatIfResult]:
+    """One baseline run, then one idealised run per resource."""
     # Local import to avoid a harness<->core cycle.
     from ..harness.runner import RunFailed, deploy
-    result = deploy(engine, workload, config, seed=seed,
-                    spec=spec).run(workload)
-    if not result.success:
-        raise RunFailed(f"what-if run failed: {result.failure}")
-    return result.duration
+    specs = [base_spec] + [_idealised_spec(base_spec, r) for r in resources]
+    seconds = []
+    for spec in specs:
+        # Durations only: nothing reads the cluster's resource traces.
+        result = deploy(engine, workload, config, seed=seed, spec=spec,
+                        trace_detail="off").run(workload)
+        if not result.success:
+            raise RunFailed(f"what-if run failed: {result.failure}")
+        seconds.append(result.duration)
+    return {r: WhatIfResult(engine, workload.name, r, seconds[0], s)
+            for r, s in zip(resources, seconds[1:])}
 
 
 def what_if(engine: str, workload: Workload, config: ExperimentConfig,
@@ -91,18 +99,14 @@ def what_if(engine: str, workload: Workload, config: ExperimentConfig,
             base_spec: HardwareSpec = GRID5000_PARAVANCE) -> WhatIfResult:
     """Speedup bound if ``resource`` were infinitely fast.  Raises
     :class:`~repro.harness.runner.RunFailed` if either run fails."""
-    idealised_spec = _idealised_spec(base_spec, resource)
-    baseline = _run(engine, workload, config, base_spec, seed)
-    idealised = _run(engine, workload, config, idealised_spec, seed)
-    return WhatIfResult(engine=engine, workload=workload.name,
-                        resource=resource, baseline_seconds=baseline,
-                        idealised_seconds=idealised)
+    return _what_ifs(engine, workload, config, (resource,), seed,
+                     base_spec)[resource]
 
 
 def blocked_time_report(engine: str, workload: Workload,
                         config: ExperimentConfig, seed: int = 0
                         ) -> Dict[str, WhatIfResult]:
-    """The full blocked-time table: one what-if per resource."""
-    return {resource: what_if(engine, workload, config, resource,
-                              seed=seed)
-            for resource in RESOURCES}
+    """The full blocked-time table: one what-if per resource, all
+    against a single baseline run."""
+    return _what_ifs(engine, workload, config, RESOURCES, seed,
+                     GRID5000_PARAVANCE)

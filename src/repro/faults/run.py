@@ -199,7 +199,9 @@ def run_with_faults(engine_name: str, workload: Workload,
     resolved = plan.resolve(baseline.duration)
 
     checker = InvariantChecker() if strict_enabled(strict) else None
-    deployment = deploy(engine_name, workload, config, seed=seed)
+    # Only the strict audits read the faulted cluster's traces.
+    deployment = deploy(engine_name, workload, config, seed=seed,
+                        trace_detail="off" if checker is None else "full")
     cluster = deployment.cluster
     state = FaultState(cluster)
     cluster.fault_state = state

@@ -168,7 +168,6 @@ class TrialStats:
 def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
              seed: int = 0, keep_deployment: bool = False,
              strict: Optional[bool] = None,
-             trace_detail: str = "full",
              tracer: Optional[SpanTracer] = None) -> EngineRunResult:
     """Deploy, import the dataset, run every job of the workload.
 
@@ -178,26 +177,24 @@ def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
     :class:`~repro.validation.InvariantViolation`.  ``None`` defers to
     :func:`repro.validation.set_strict_default`.
 
-    ``trace_detail`` tunes resource tracing (see
-    :data:`repro.cluster.fluid.TRACE_DETAIL_MODES`); callers that only
-    need durations can pass ``"off"`` to skip trace appends.  Strict
-    runs force ``"full"`` — the audits integrate the throughput traces.
-
     ``tracer`` attaches a :class:`~repro.observability.SpanTracer` to
     the deployment: the engines record their run/job/stage/operator/
     task windows into it (purely from clock reads, so the simulation
     itself is bit-identical with or without one).  The root ``run``
     span covers exactly the execution window — HDFS import is outside
-    it, matching how the paper measures.  Tracing forces
-    ``trace_detail="full"`` because attribution integrates the
-    capacity traces.  On a *failed* run the span stack is left as the
-    failure found it; use :func:`run_traced` for a checked entry point.
+    it, matching how the paper measures.  On a *failed* run the span
+    stack is left as the failure found it; use :func:`run_traced` for a
+    checked entry point.
+
+    Resource traces are recorded only when something can read them:
+    the strict audits, span attribution, or a caller that gets the
+    cluster through ``keep_deployment`` (the monitoring panels).  The
+    fluid solve never reads a trace, so the result is the same.
     """
     checker = InvariantChecker() if strict_enabled(strict) else None
-    if checker is not None or tracer is not None:
-        trace_detail = "full"
+    record = checker is not None or tracer is not None or keep_deployment
     deployment = deploy(engine_name, workload, config, seed=seed,
-                        trace_detail=trace_detail)
+                        trace_detail="full" if record else "off")
     cluster = deployment.cluster
     if checker is not None:
         checker.attach(cluster)

@@ -35,15 +35,14 @@ def _combo_task(engine: str, workload: Workload, config: ExperimentConfig,
     sweeps report NaN for combinations that mostly worked.  The row now
     carries the mean over the completed trials plus ``completed_trials``
     so callers can judge how much evidence backs the number.  Sweeps
-    only report durations, so tracing is off (strict runs re-enable it).
+    report durations only: their runs record traces only when strict.
     """
     durations: List[float] = []
     failure: Optional[str] = None
     sim_events = 0
     for t in range(trials):
         result = run_once(engine, workload, config,
-                          seed=base_seed + 1000 * t, strict=strict,
-                          trace_detail="off")
+                          seed=base_seed + 1000 * t, strict=strict)
         sim_events += result.sim_events or 0
         if result.success:
             durations.append(result.duration)

@@ -15,9 +15,9 @@ monitoring frames onto a uniform grid cluster-wide, attribution reads
 the exact step functions and restricts them to the span's own nodes —
 a task span on a straggler is profiled against that straggler only.
 
-Requires the scheduler's ``trace_detail="full"`` (the traced-run
-entry points force it); with gated traces the series are empty and the
-means read 0.
+Requires the scheduler's ``trace_detail="full"`` (a run with a tracer
+attached always records); with gated traces the series are empty and
+the means read 0.
 """
 
 from __future__ import annotations

@@ -38,10 +38,11 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Dict, List, Optional, Tuple, get_args,
+                    get_type_hints)
 
 from ..config.advisor import advise_flink, advise_spark
-from ..config.parameters import ConfigError
+from ..config.parameters import ConfigError, FlinkConfig, SparkConfig
 from ..config.presets import (CORES_PER_NODE, ExperimentConfig,
                               with_overrides)
 from ..engines.common.serialization import Serializer
@@ -64,6 +65,9 @@ SPARK_OVERRIDES = ("default_parallelism", "serializer",
                    "edge_partitions", "executor_memory")
 FLINK_OVERRIDES = ("default_parallelism", "network_buffers",
                    "task_slots", "taskmanager_memory")
+#: The config field types an override value must have.
+_FIELD_TYPES = {"spark": get_type_hints(SparkConfig),
+                "flink": get_type_hints(FlinkConfig)}
 
 
 class PlanError(ValueError):
@@ -183,6 +187,14 @@ def apply_overrides(config: ExperimentConfig, engine: str,
         except ValueError:
             raise PlanError(
                 f"unknown serializer {kw['serializer']!r}") from None
+    for key, value in kw.items():
+        hint = _FIELD_TYPES[engine][key]
+        # An int is a float, and a bool is no number.
+        kinds = (int, float) if hint is float else get_args(hint) or (hint,)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            names = " or ".join(k.__name__ for k in kinds)
+            raise PlanError(f"{engine} override {key!r} must be {names}, "
+                            f"got {value!r}")
     return with_overrides(config, {f"{engine}.{key}": value
                                    for key, value in kw.items()})
 
@@ -283,8 +295,7 @@ def evaluate_candidate(desc: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": False, "feasible": False,
                 "reason": "fatal-advice", "advice": advice_out,
                 "duration": None, "sim_events": 0}
-    result = run_once(desc["engine"], workload, config,
-                      seed=desc["seed"], trace_detail="off")
+    result = run_once(desc["engine"], workload, config, seed=desc["seed"])
     return {"ok": bool(result.success),
             "feasible": bool(result.success),
             "reason": None if result.success else

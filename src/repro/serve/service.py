@@ -53,7 +53,6 @@ import json
 import signal
 from typing import Any, Dict, Optional, Set, Tuple
 
-from ..config.parameters import ConfigError
 from ..workloads.catalogue import build_config, build_workload
 from .breaker import CircuitBreaker
 from .cache import DigestCache
@@ -385,7 +384,7 @@ class AdvisorService:
                 build_config(workload, nodes), engine,
                 dict(body.get("overrides") or {}))
             plan_wl = build_workload(workload, nodes)
-        except (PlanError, ConfigError, ValueError) as exc:
+        except ValueError as exc:  # PlanError, ConfigError included
             raise _BadRequest(400, str(exc)) from None
         advice = _advise(engine, config, nodes,
                          plan_wl.jobs(engine)[0])

@@ -859,11 +859,12 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
     else:
         plan = arrivals.compile(seed, duration)
 
-    cluster = Cluster(nodes, seed=seed)
+    strict = strict_enabled(strict)
+    # Only the strict audit and a traced run read this cluster's traces.
+    cluster = Cluster(nodes, seed=seed, trace_detail=(
+        "full" if strict or tracer is not None else "off"))
     cluster.tracer = tracer
-    checker = None
-    if strict_enabled(strict):
-        checker = InvariantChecker().attach(cluster)
+    checker = InvariantChecker().attach(cluster) if strict else None
     state = _StreamState(plan)
     crash_log = _new_crash_log()
 

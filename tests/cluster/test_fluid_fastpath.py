@@ -36,8 +36,38 @@ def run_workload(trace_detail):
     return completions, disk, nic, fluid
 
 
+def deploy_and_run(engine, workload, config, trace_detail, seed=0):
+    from repro.harness.runner import deploy
+    deployment = deploy(engine, workload, config, seed=seed,
+                        trace_detail=trace_detail)
+    return deployment, deployment.run(workload)
+
+
+def simulated(deployment, result):
+    """What a run simulated, as exact floats and counts."""
+    return (result.success, result.duration, result.sim_events,
+            deployment.cluster.fluid.completed_count,
+            [(j.name, j.start, j.end) for j in result.jobs])
+
+
 def test_trace_detail_does_not_change_simulation():
+    """Recording is bookkeeping only: the fluid solve never reads a
+    trace, so every workload on both engines simulates bit-identically
+    with and without traces."""
+    from repro.workloads.catalogue import (WORKLOADS, build_config,
+                                           build_workload)
+
     assert run_workload("off")[0] == run_workload("full")[0]
+    for name in WORKLOADS:
+        workload = build_workload(name, 8, iterations=3, data_scale=0.25)
+        config = build_config(name, 8)
+        for engine in ("spark", "flink"):
+            full = simulated(*deploy_and_run(engine, workload, config,
+                                             "full"))
+            off = simulated(*deploy_and_run(engine, workload, config,
+                                            "off"))
+            assert full[0], f"{engine}/{name} must succeed"
+            assert off == full, f"{engine}/{name}"
 
 
 def test_trace_detail_off_records_nothing():
@@ -153,45 +183,38 @@ def test_rescale_with_no_flows_records_idle_point():
 # span tracing composes with trace gating
 # ----------------------------------------------------------------------
 def test_span_tracer_does_not_change_simulation():
-    """``trace_detail="off"`` with spans disabled must be bit-identical
-    to ``"full"`` with a tracer attached: same duration, same kernel
-    event count, same flow completions.  The tracer only reads clocks —
-    any divergence here means a hook started scheduling events."""
+    """A deployment run with ``trace_detail="off"`` and spans disabled
+    must be bit-identical to ``"full"`` with a tracer attached: same
+    duration, same kernel event count, same flow completions.  The
+    tracer only reads clocks — any divergence here means a hook started
+    scheduling events."""
     from repro.cli import build_config, build_workload
     from repro.harness.runner import run_once
     from repro.observability import SpanTracer
 
     wl = build_workload("wordcount", 2)
     cfg = build_config("wordcount", 2)
-    off = run_once("spark", wl, cfg, seed=3, strict=False,
-                   trace_detail="off", keep_deployment=True)
+    dep_off, off = deploy_and_run("spark", wl, cfg, "off", seed=3)
     tracer = SpanTracer()
     full = run_once("spark", wl, cfg, seed=3, strict=False,
                     tracer=tracer, keep_deployment=True)
-    dep_off = off.metrics.pop("_deployment")
     dep_full = full.metrics.pop("_deployment")
 
-    assert off.duration == full.duration  # bit-identical, not approx
-    assert dep_off.cluster.sim.steps_executed == \
-        dep_full.cluster.sim.steps_executed
-    assert dep_off.cluster.fluid.completed_count == \
-        dep_full.cluster.fluid.completed_count
-    assert [(j.name, j.start, j.end) for j in off.jobs] == \
-        [(j.name, j.start, j.end) for j in full.jobs]
+    assert dep_full.cluster.fluid.trace_detail == "full"
+    assert simulated(dep_off, off) == simulated(dep_full, full)
     assert tracer.spans  # the traced twin actually recorded the tree
 
 
 def test_trace_detail_off_stays_off_through_engine_run():
-    """An engine run with no tracer and ``trace_detail="off"`` records
-    neither capacity traces nor spans — the bench fast path."""
+    """An engine run with no tracer on a ``trace_detail="off"``
+    deployment records neither capacity traces nor spans — the
+    duration-only fast path."""
     from repro.cli import build_config, build_workload
-    from repro.harness.runner import run_once
 
     wl = build_workload("grep", 2)
     cfg = build_config("grep", 2)
-    result = run_once("spark", wl, cfg, seed=1, strict=False,
-                      trace_detail="off", keep_deployment=True)
-    dep = result.metrics.pop("_deployment")
+    dep, result = deploy_and_run("spark", wl, cfg, "off", seed=1)
+    assert result.success
     assert dep.cluster.tracer is None
     for cap_trace in (dep.cluster.node(0).cpu.utilisation,
                       dep.cluster.node(0).disk.throughput):

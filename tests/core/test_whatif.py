@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.node import GRID5000_PARAVANCE
 from repro.cluster.topology import Cluster
 from repro.config.presets import (large_graph_preset, terasort_preset,
                                   wordcount_grep_preset)
@@ -69,3 +70,26 @@ def test_describe_renders():
     r = what_if("flink", WordCount(2 * 24 * GiB), cfg, "disk", seed=2)
     text = r.describe()
     assert "flink/wordcount" in text and "disk" in text
+
+
+def test_report_simulates_the_baseline_once(monkeypatch):
+    """One baseline plus one idealised run per resource, and the same
+    numbers as separate per-resource what-ifs, field for field."""
+    from repro.harness import runner
+    deployed = []
+    deploy = runner.deploy
+
+    def counting(*args, **kwargs):
+        deployed.append(kwargs.get("spec"))
+        return deploy(*args, **kwargs)
+
+    cfg = wordcount_grep_preset(2)
+    wl = WordCount(2 * 24 * GiB)
+    monkeypatch.setattr(runner, "deploy", counting)
+    report = blocked_time_report("spark", wl, cfg, seed=2)
+    assert len(deployed) == 1 + len(RESOURCES)
+    assert deployed.count(GRID5000_PARAVANCE) == 1  # the one baseline
+    monkeypatch.setattr(runner, "deploy", deploy)
+    for resource in RESOURCES:
+        assert report[resource] == what_if("spark", wl, cfg, resource,
+                                           seed=2)

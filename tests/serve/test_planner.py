@@ -10,7 +10,8 @@ from repro.serve import (CapacityQuery, PlanError, TaskCrashed,
                          candidate_descriptors, candidate_digest,
                          evaluate_candidate, plan_capacity_async,
                          plan_capacity_sync)
-from repro.serve.planner import synthesize_answer
+from repro.serve.planner import apply_overrides, synthesize_answer
+from repro.workloads.catalogue import build_config
 
 QUICK = dict(workload="wordcount", slo_seconds=200.0,
              nodes_candidates=(2, 4), data_scale=0.05)
@@ -55,6 +56,31 @@ def test_from_payload_rejects_unknown_fields():
         CapacityQuery.from_payload([1, 2])
     with pytest.raises(PlanError, match="workload"):
         CapacityQuery.from_payload({"slo_seconds": 5.0})
+
+
+@pytest.mark.parametrize("engine,overrides", [
+    ("spark", {"default_parallelism": "abc"}),
+    ("spark", {"default_parallelism": True}),
+    ("spark", {"default_parallelism": 96.0}),
+    ("spark", {"storage_fraction": False}),
+    ("spark", {"edge_partitions": "8"}),
+    ("flink", {"taskmanager_memory": [1]}),
+])
+def test_overrides_of_the_wrong_type_are_plan_errors(engine, overrides):
+    config = build_config("wordcount", 4)
+    with pytest.raises(PlanError, match="must be"):
+        apply_overrides(config, engine, overrides)
+
+
+def test_overrides_of_the_field_type_apply():
+    config = apply_overrides(
+        build_config("pagerank", 4), "spark",
+        {"default_parallelism": 96, "executor_memory": 2**34,
+         "storage_fraction": 0.5, "edge_partitions": None,
+         "serializer": "kryo"})
+    assert config.spark.default_parallelism == 96
+    assert config.spark.executor_memory == 2**34
+    assert config.spark.edge_partitions is None
 
 
 def test_payload_roundtrip_keeps_the_digest():

@@ -126,6 +126,28 @@ def test_garbage_requests_are_rejected_not_crashed():
     run_service_test(body)
 
 
+def test_advise_with_mistyped_override_is_a_400():
+    """A string where the config wants an int used to raise TypeError
+    inside the handler: an empty reply and a ledger that lost the
+    request (received 2, rejected 1, admitted 0)."""
+    async def body(service):
+        status, payload = await request(
+            service.port, "POST", "/v1/advise",
+            {"workload": "wordcount", "engine": "spark", "nodes": 4,
+             "overrides": {"default_parallelism": "abc"}})
+        assert status == 400
+        assert "default_parallelism" in payload["error"]
+        status, _ = await request(
+            service.port, "POST", "/v1/advise",
+            {"workload": "wordcount", "engine": "spark", "nodes": 0})
+        assert status == 400
+        ledger = service.ledger
+        assert (ledger.received, ledger.rejected_invalid,
+                ledger.admitted) == (2, 2, 0)
+        audit(service)
+    run_service_test(body, jobs=1)
+
+
 def test_unparseable_body_is_rejected():
     async def body(service):
         reader, writer = await asyncio.open_connection("127.0.0.1",
