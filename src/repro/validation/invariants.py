@@ -174,54 +174,97 @@ class InvariantChecker:
     def check_max_min(self, scheduler, component) -> None:
         """Audit one freshly computed allocation over a component.
 
-        Checks, in order: non-negative rates, per-flow rate caps, no
-        oversubscribed capacity, and the max–min characterisation (every
-        flow is capped or bottlenecked at a saturated capacity where its
-        rate is maximal — which also implies work conservation).
+        Checks no oversubscribed capacity, then per flow: a non-negative
+        rate, its rate cap, and the max–min characterisation (every flow
+        is capped or bottlenecked at a saturated capacity where its rate
+        is maximal — which also implies work conservation).  Every slack
+        is ``tolerance * max(1, x)`` for the quantity ``x`` compared.
+
+        A one-flow component whose capacities carry no other flow (what
+        every uncontended solve produces) gets a scalar verdict: there
+        the flow's rate is each capacity's aggregate and maximum, and
+        the effective bandwidth is the nominal one, so the same
+        comparisons need no container.  Anything but a clean verdict
+        falls through to the general pass, which records the messages.
         """
         self.checks["max_min"] += 1
         tol = self.tolerance
-        caps = set()
-        for flow in component:
-            caps.update(flow.capacities)
+        if len(component) == 1:
+            (flow,) = component
+            rate = flow.rate
+            rate_slack = tol * (rate if rate > 1.0 else 1.0)
+            clean = not rate < -rate_slack
+            fair = False  # capped, or bottlenecked on some capacity
+            rate_cap = flow.rate_cap
+            if rate_cap is not None:
+                cap_slack = tol * (rate_cap if rate_cap > 1.0 else 1.0)
+                clean = clean and not rate > rate_cap + cap_slack
+                fair = rate >= rate_cap - cap_slack
+            # The lone flow's rate is the maximum on each capacity: a
+            # clause that NaN and infinite rates still fail.
+            maximal = rate >= rate - rate_slack
+            if clean:
+                for cap in flow.capacities:
+                    members = cap.flows
+                    if len(members) != 1 or flow not in members:
+                        break
+                    bw = cap.bandwidth
+                    bw_slack = tol * (bw if bw > 1.0 else 1.0)
+                    if rate > bw + bw_slack:
+                        break  # oversubscribed
+                    if maximal and rate >= bw - bw_slack:
+                        fair = True
+                else:
+                    if fair:
+                        return
 
-        cap_rate = {}
-        saturated = {}
-        max_rate_on = {}
-        for cap in caps:
-            total = sum(f.rate for f in cap.flows)
-            eff = cap.effective_bandwidth()
-            slack = tol * max(1.0, eff)
-            cap_rate[cap] = total
-            saturated[cap] = total >= eff - slack
-            max_rate_on[cap] = max((f.rate for f in cap.flows), default=0.0)
-            if total > eff + slack:
-                self._record(
-                    f"fluid: capacity {cap.name} oversubscribed: "
-                    f"{total} > effective bandwidth {eff}")
-
+        # The rate a flow needs on each capacity to count as bottlenecked
+        # there (its maximum rate less the slack); None if not saturated.
+        need = {}
         for flow in component:
-            rate_slack = tol * max(1.0, flow.rate)
-            if flow.rate < -rate_slack:
-                self._record(f"fluid: flow #{flow.id} has negative rate "
-                             f"{flow.rate}")
-                continue
-            if flow.rate_cap is not None:
-                cap_slack = tol * max(1.0, flow.rate_cap)
-                if flow.rate > flow.rate_cap + cap_slack:
+            for cap in flow.capacities:
+                if cap in need:
+                    continue
+                rates = [f.rate for f in cap.flows]
+                total = sum(rates)
+                n = len(rates)
+                eff = cap.bandwidth
+                if n > 1 and cap.contention_alpha != 0.0:
+                    eff = eff / (1.0 + cap.contention_alpha * (n - 1))
+                slack = tol * (eff if eff > 1.0 else 1.0)
+                if total > eff + slack:
                     self._record(
-                        f"fluid: flow #{flow.id} rate {flow.rate} exceeds "
-                        f"its cap {flow.rate_cap}")
-                if flow.rate >= flow.rate_cap - cap_slack:
+                        f"fluid: capacity {cap.name} oversubscribed: "
+                        f"{total} > effective bandwidth {eff}")
+                if total >= eff - slack:
+                    top = max(rates, default=0.0)
+                    need[cap] = top - tol * (top if top > 1.0 else 1.0)
+                else:
+                    need[cap] = None
+
+        for flow in component:
+            rate = flow.rate
+            if rate < -tol * (rate if rate > 1.0 else 1.0):
+                self._record(f"fluid: flow #{flow.id} has negative rate "
+                             f"{rate}")
+                continue
+            rate_cap = flow.rate_cap
+            if rate_cap is not None:
+                cap_slack = tol * (rate_cap if rate_cap > 1.0 else 1.0)
+                if rate > rate_cap + cap_slack:
+                    self._record(
+                        f"fluid: flow #{flow.id} rate {rate} exceeds "
+                        f"its cap {rate_cap}")
+                if rate >= rate_cap - cap_slack:
                     continue  # frozen at its own cap: max-min satisfied
-            bottlenecked = any(
-                saturated[cap] and
-                flow.rate >= max_rate_on[cap] - tol * max(1.0, max_rate_on[cap])
-                for cap in flow.capacities)
-            if not bottlenecked:
+            for cap in flow.capacities:
+                threshold = need[cap]
+                if threshold is not None and rate >= threshold:
+                    break
+            else:
                 self._record(
-                    f"fluid: flow #{flow.id} (rate {flow.rate}, cap "
-                    f"{flow.rate_cap}) is neither capped nor bottlenecked "
+                    f"fluid: flow #{flow.id} (rate {rate}, cap "
+                    f"{rate_cap}) is neither capped nor bottlenecked "
                     f"— allocation is not max-min fair / work-conserving")
 
     # ------------------------------------------------------------------

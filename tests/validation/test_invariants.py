@@ -89,6 +89,75 @@ def test_rate_cap_violation_is_flagged():
     assert any("exceeds its cap" in v for v in checker.violations)
 
 
+def _solved(*routes, **capacity_kwargs):
+    """Solve one flow per route over capacities ``a`` and ``b``."""
+    sched = FluidScheduler(Simulation())
+    caps = {name: Capacity(name, 100.0, **capacity_kwargs) for name in "ab"}
+    for route in routes:
+        sched.transfer(1e12, [caps[name] for name in route])
+    sched.settle()
+    return sorted(sched._flows, key=lambda f: f.id)
+
+
+NEITHER = ("is neither capped nor bottlenecked — allocation is not "
+           "max-min fair / work-conserving")
+
+
+def test_contended_oversubscription_is_flagged():
+    """Two streams on a seeking disk sum to the nominal bandwidth, which
+    exceeds what contention leaves of it."""
+    first, second = _solved("a", "a", contention_alpha=0.5)
+    first.rate = second.rate = 50.0
+    checker = InvariantChecker()
+    checker.check_max_min(None, {first, second})
+    assert checker.violations == [
+        f"fluid: capacity a oversubscribed: 100.0 > effective bandwidth "
+        f"{100.0 / 1.5}"]
+
+
+def test_negative_rate_is_flagged():
+    (flow,) = _solved("a")
+    flow.rate = -5.0
+    checker = InvariantChecker()
+    checker.check_max_min(None, (flow,))
+    assert checker.violations == [
+        f"fluid: flow #{flow.id} has negative rate -5.0"]
+
+
+def test_nan_rate_is_flagged():
+    (flow,) = _solved("ab")
+    flow.rate = float("nan")
+    checker = InvariantChecker()
+    checker.check_max_min(None, (flow,))
+    assert checker.violations == [
+        f"fluid: flow #{flow.id} (rate nan, cap None) {NEITHER}"]
+
+
+def test_lone_flow_on_a_shared_capacity_takes_the_general_pass():
+    """Audited alone, a flow at the full bandwidth looks clean; the other
+    flow on its capacity makes that capacity oversubscribed."""
+    audited, other = _solved("a", "a")
+    audited.rate, other.rate = 100.0, 50.0
+    checker = InvariantChecker()
+    checker.check_max_min(None, (audited,))
+    assert checker.violations == [
+        "fluid: capacity a oversubscribed: 150.0 > effective bandwidth "
+        "100.0"]
+
+
+def test_unfair_allocation_across_two_capacities_is_flagged():
+    """Both capacities are saturated, but the flows alone on ``a`` and on
+    ``b`` sit below the rate of the flow crossing both."""
+    both, on_a, on_b = _solved("ab", "a", "b")
+    assert [f.rate for f in (both, on_a, on_b)] == [50.0, 50.0, 50.0]
+    both.rate, on_a.rate, on_b.rate = 60.0, 40.0, 40.0
+    checker = InvariantChecker()
+    checker.check_max_min(None, {both, on_a, on_b})
+    assert sorted(checker.violations) == sorted(
+        f"fluid: flow #{f.id} (rate 40.0, cap None) {NEITHER}"
+        for f in (on_a, on_b))
+
+
 def test_byte_conservation_break_is_flagged():
     cluster = Cluster(1, seed=0)
     checker = InvariantChecker().attach(cluster)
