@@ -56,11 +56,11 @@ Commands
     invariant checking; with ``--replay``, also compare their trace
     digests against the goldens in ``tests/golden/``.
 
-``run``, ``figure``, ``table7`` and the campaigns accept ``--strict``:
-the run attaches an invariant checker and fails loudly on any
-violation.  A simulated run that fails (Table VII's out-of-memory
-cells) makes ``run``, ``trace`` and ``faults`` print one
-``error: ...`` line and exit 1.
+``run``, ``figure``, ``table7``, ``faults``, ``trace`` and the
+campaigns accept ``--strict``: the run attaches an invariant checker
+and fails loudly on any violation.  A simulated run that fails
+(Table VII's out-of-memory cells) makes ``run``, ``trace`` and
+``faults`` print one ``error: ...`` line and exit 1.
 
 Campaigns
 ---------
@@ -219,7 +219,7 @@ def cmd_run(args) -> int:
     config = build_config(args.workload, args.nodes)
     try:
         run = run_correlated(args.engine, workload, config,
-                             seed=args.seed, strict=args.strict or None)
+                             seed=args.seed, strict=args.strict)
     except RunFailed as exc:
         print(f"error: {args.engine}: {exc}", file=sys.stderr)
         return 1
@@ -231,16 +231,15 @@ def cmd_run(args) -> int:
 
 def cmd_figure(args) -> int:
     fig_id = args.id
-    strict = args.strict or None
     if fig_id in FIGURES:
         return _campaign(args, lambda store: FIGURES[fig_id](
-            trials=args.trials, seed=args.seed, strict=strict,
+            trials=args.trials, seed=args.seed, strict=args.strict,
             jobs=args.jobs, checkpoint=store))
     if fig_id in CAMPAIGN_FIGURES:
         trials = ({"trials": args.trials} if fig_id in ("fig19", "fig23")
                   else {})
         return _campaign(args, lambda store: CAMPAIGN_FIGURES[fig_id](
-            seed=args.seed, strict=strict, jobs=args.jobs,
+            seed=args.seed, strict=args.strict, jobs=args.jobs,
             checkpoint=store, **trials))
     if args.checkpoint is not None and (fig_id in RESOURCE_FIGURES
                                         or fig_id == "fig18"):
@@ -249,7 +248,7 @@ def cmd_figure(args) -> int:
               file=sys.stderr)
         return 2
     if fig_id in RESOURCE_FIGURES:
-        fig = RESOURCE_FIGURES[fig_id](seed=args.seed, strict=strict,
+        fig = RESOURCE_FIGURES[fig_id](seed=args.seed, strict=args.strict,
                                        jobs=args.jobs)
         for run in fig.runs.values():
             print(render_run(run))
@@ -257,7 +256,7 @@ def cmd_figure(args) -> int:
         return 0
     if fig_id == "fig18":
         fig = figure_registry.fig18_fault_recovery(seed=args.seed,
-                                                   strict=strict,
+                                                   strict=args.strict,
                                                    jobs=args.jobs)
         print(fig.title)
         for c in fig.cells:
@@ -288,16 +287,22 @@ def cmd_resilience(args) -> int:
     return _campaign(args, lambda store: resilience_sweep(
         workloads=workloads, engines=args.engines, rates=args.rates,
         trials=args.trials, nodes=args.nodes, seed=args.seed,
-        stragglers=args.stragglers, strict=args.strict or None,
+        stragglers=args.stragglers, strict=args.strict,
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
         checkpoint=store))
 
 
 def cmd_streaming(args) -> int:
+    from .streaming.arrivals import slice_count
     from .streaming.sweep import degradation_sweep, streaming_sweep
     if args.degrade and args.recovery:
         print("--degrade and --recovery are mutually exclusive",
               file=sys.stderr)
+        return 2
+    try:
+        slice_count(args.duration)  # refuse before a store is opened
+    except ValueError as exc:
+        print(f"error: --duration: {exc}", file=sys.stderr)
         return 2
     if args.degrade:
         return _campaign(args, lambda store: degradation_sweep(
@@ -307,7 +312,7 @@ def cmd_streaming(args) -> int:
             policies=tuple(args.policies), nodes=args.nodes,
             seed=args.seed, duration=args.duration,
             batch_interval=args.batch_interval,
-            strict=args.strict or None, jobs=args.jobs,
+            strict=args.strict, jobs=args.jobs,
             timeout=args.timeout, retries=args.retries,
             checkpoint=store))
     if args.recovery:
@@ -321,7 +326,7 @@ def cmd_streaming(args) -> int:
     return _campaign(args, lambda store: streaming_sweep(
         engines=args.engines, nodes=args.nodes, seed=args.seed,
         duration=args.duration, batch_interval=args.batch_interval,
-        strict=args.strict or None, jobs=args.jobs, timeout=args.timeout,
+        strict=args.strict, jobs=args.jobs, timeout=args.timeout,
         retries=args.retries, checkpoint=store, **shape))
 
 
@@ -339,7 +344,7 @@ def cmd_tenancy(args) -> int:
         policies=tuple(args.policies), loads=loads, trials=args.trials,
         nodes=nodes, seed=args.seed, jobs_target=jobs_target,
         crash_rate=args.crash_rate, templates=default_templates(nodes),
-        queues=default_queues(nodes), strict=args.strict or None,
+        queues=default_queues(nodes), strict=args.strict,
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
         checkpoint=store))
 
@@ -441,7 +446,6 @@ def cmd_faults(args) -> int:
     from .harness.faults import run_with_failure
     workload = build_workload(args.workload, args.nodes, graph=args.graph)
     config = build_config(args.workload, args.nodes)
-    strict = args.strict or None
     status = 0
     for engine in args.engines:
         try:
@@ -461,7 +465,7 @@ def cmd_faults(args) -> int:
                     retry_policy=RetryPolicy(backoff=args.backoff),
                     restart_policy=FlinkRestartPolicy(
                         restart_delay=args.restart_delay),
-                    strict=strict)
+                    strict=args.strict)
                 print(f"simulated {faulted.describe()}")
                 if args.timeline:
                     print(faulted.timeline.describe())
@@ -503,7 +507,7 @@ def _render_trace(traced) -> str:
 
 
 def _trace_task(engine: str, workload, config, seed: int,
-                strict: Optional[bool]):
+                strict: bool = False):
     """:func:`run_traced` as a fan-out task.  A failed run comes back as
     its :class:`RunFailed`, which pickles, so ``trace`` reports it the
     same way at every ``--jobs``."""
@@ -523,11 +527,10 @@ def cmd_trace(args) -> int:
     workload = build_workload(args.workload, args.nodes, graph=args.graph,
                               iterations=args.iterations)
     config = build_config(args.workload, args.nodes)
-    strict = args.strict or None
     # Engines fan out like any other independent runs; results return
     # in submission order, so the report (and any exported files) are
     # bit-identical at every --jobs value.
-    tasks = [(engine, workload, config, args.seed, strict)
+    tasks = [(engine, workload, config, args.seed, args.strict)
              for engine in args.engines]
     traced_runs = parallel_map(_trace_task, tasks, jobs=args.jobs)
     status = 0
@@ -559,7 +562,7 @@ def cmd_trace(args) -> int:
 def cmd_table7(args) -> int:
     cells = figure_registry.tab07_large_graph(
         seed=args.seed, node_counts=tuple(args.nodes),
-        strict=args.strict or None, jobs=args.jobs)
+        strict=args.strict, jobs=args.jobs)
     print("Table VII - Large graph (Load / Iter seconds; 'no' = failed)")
     for cell in cells:
         status = (f"load {cell.load_seconds:7.0f}s  iter "
@@ -591,14 +594,14 @@ def cmd_validate(args) -> int:
               file=sys.stderr)
         return 2
     if args.update_golden:
-        digests = replay.compute_digests(names, seed=args.seed, strict=True)
+        digests = replay.compute_digests(names, seed=args.seed)
         path = replay.save_golden(digests, path=args.golden, seed=args.seed)
         for name in sorted(digests):
             print(f"  {name}: {digests[name]}")
         print(f"golden digests written to {path}")
         return 0
     if args.replay:
-        problems = replay.verify_replay(names, seed=args.seed, strict=True,
+        problems = replay.verify_replay(names, seed=args.seed,
                                         path=args.golden)
         if problems:
             for problem in problems:
@@ -609,7 +612,7 @@ def cmd_validate(args) -> int:
         return 0
     # No --replay: just run the scenarios with invariant checking on.
     for name in names:
-        replay.SCENARIOS[name].run(args.seed, True)
+        replay.SCENARIOS[name].run(args.seed)
         print(f"  {name}: invariants ok")
     print(f"validated {len(names)} scenario(s), zero invariant violations")
     return 0

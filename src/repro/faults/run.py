@@ -31,7 +31,7 @@ from ..config.presets import ExperimentConfig
 from ..engines.common.result import EngineRunResult
 from ..harness.faults import FaultRecoveryResult, run_with_failure
 from ..harness.runner import Deployment, RunFailed, deploy, run_once
-from ..validation.invariants import InvariantChecker, strict_enabled
+from ..validation.invariants import InvariantChecker
 from ..workloads.base import Workload
 from .injector import FaultInjector, FaultTimeline
 from .plan import FaultPlan
@@ -181,7 +181,7 @@ def run_with_faults(engine_name: str, workload: Workload,
                     seed: int = 0,
                     retry_policy: Optional[RetryPolicy] = None,
                     restart_policy: Optional[FlinkRestartPolicy] = None,
-                    strict: Optional[bool] = None,
+                    strict: bool = False,
                     baseline: Optional[EngineRunResult] = None
                     ) -> FaultedRunResult:
     """Run a workload with faults injected into the simulation.
@@ -198,7 +198,7 @@ def run_with_faults(engine_name: str, workload: Workload,
             f"configuration that succeeds before injecting faults")
     resolved = plan.resolve(baseline.duration)
 
-    checker = InvariantChecker() if strict_enabled(strict) else None
+    checker = InvariantChecker() if strict else None
     # Only the strict audits read the faulted cluster's traces.
     deployment = deploy(engine_name, workload, config, seed=seed,
                         trace_detail="off" if checker is None else "full")
@@ -284,7 +284,7 @@ def compare_with_analytic(engine_name: str, workload: Workload,
                           config: ExperimentConfig,
                           fail_at_fraction: float = 0.5,
                           node: int = 0, seed: int = 0,
-                          strict: Optional[bool] = None) -> FaultComparison:
+                          strict: bool = False) -> FaultComparison:
     """Run the single-crash scenario both ways.
 
     The simulated side uses process-kill semantics

@@ -25,7 +25,6 @@ from ..core.scalability import ScalingSeries
 from ..workloads import (ConnectedComponents, Grep, KMeans, PageRank,
                          TeraSort, WordCount)
 from ..workloads.base import Workload
-from ..validation.invariants import strict_enabled
 from ..workloads.datagen.graphs import (LARGE_GRAPH, MEDIUM_GRAPH,
                                         SMALL_GRAPH, GraphDatasetModel)
 from .campaign import run_campaign
@@ -127,7 +126,7 @@ def _scaling(figure_id: str, title: str, xs: Sequence[float],
              make_workload: Callable[[float], Workload],
              make_config: Callable[[float], ExperimentConfig],
              trials: int, seed: int,
-             strict: Optional[bool] = None,
+             strict: bool = False,
              jobs: Optional[int] = None,
              checkpoint=None) -> ScalingFigure:
     # Every (engine, x) data point is an independent deterministic batch
@@ -135,11 +134,9 @@ def _scaling(figure_id: str, title: str, xs: Sequence[float],
     # not cross process boundaries) and fan out.  Results come back in
     # cell order, so the figure is identical at any job count, and a
     # journaled point resumes as the very TrialStats it was computed as.
-    strict_flag = strict_enabled(strict)
     cells = [({"figure_id": figure_id, "engine": engine, "x": float(x),
                "trials": trials, "seed": seed},
-              (engine, make_workload(x), make_config(x), trials, seed,
-               strict_flag))
+              (engine, make_workload(x), make_config(x), trials, seed, strict))
              for engine in ENGINES for x in xs]
     payloads = run_campaign(_trials_task, cells, checkpoint, jobs=jobs)
     for (key, _args), payload in zip(cells, payloads):
@@ -163,11 +160,10 @@ def _scaling(figure_id: str, title: str, xs: Sequence[float],
 
 def _resources(figure_id: str, title: str, workload: Workload,
                config: ExperimentConfig, seed: int,
-               strict: Optional[bool] = None,
+               strict: bool = False,
                jobs: Optional[int] = None,
                spans: bool = False) -> ResourceFigure:
-    strict_flag = strict_enabled(strict)
-    tasks = [(engine, workload, config, seed, 1.0, strict_flag, spans)
+    tasks = [(engine, workload, config, seed, 1.0, strict, spans)
              for engine in ENGINES]
     results = parallel_map(run_correlated, tasks, jobs=jobs)
     runs = dict(zip(ENGINES, results))
@@ -179,7 +175,7 @@ def _resources(figure_id: str, title: str, workload: Workload,
 # ----------------------------------------------------------------------
 def fig01_wordcount_weak(trials: int = 3, seed: int = 0,
                          nodes: Sequence[int] = (2, 4, 8, 16, 32),
-                         strict: Optional[bool] = None,
+                         strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     """Word Count, fixed 24 GB per node."""
@@ -194,7 +190,7 @@ def fig01_wordcount_weak(trials: int = 3, seed: int = 0,
 def fig02_wordcount_strong(trials: int = 3, seed: int = 0,
                            gb_per_node: Sequence[int] = (24, 27, 30, 33),
                            nodes: int = 16,
-                           strict: Optional[bool] = None,
+                           strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     """Word Count, 16 nodes, growing datasets."""
@@ -208,7 +204,7 @@ def fig02_wordcount_strong(trials: int = 3, seed: int = 0,
 
 
 def fig03_wordcount_resources(seed: int = 0, nodes: int = 32,
-        strict: Optional[bool] = None,
+        strict: bool = False,
         jobs: Optional[int] = None,
         spans: bool = False) -> ResourceFigure:
     """Word Count resource usage, 32 nodes, 768 GB."""
@@ -224,7 +220,7 @@ def fig03_wordcount_resources(seed: int = 0, nodes: int = 32,
 # ----------------------------------------------------------------------
 def fig04_grep_weak(trials: int = 3, seed: int = 0,
                     nodes: Sequence[int] = (2, 4, 8, 16, 32),
-                    strict: Optional[bool] = None,
+                    strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -238,7 +234,7 @@ def fig04_grep_weak(trials: int = 3, seed: int = 0,
 def fig05_grep_strong(trials: int = 3, seed: int = 0,
                       gb_per_node: Sequence[int] = (24, 27, 30, 33),
                       nodes: int = 16,
-                      strict: Optional[bool] = None,
+                      strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -250,7 +246,7 @@ def fig05_grep_strong(trials: int = 3, seed: int = 0,
 
 
 def fig06_grep_resources(seed: int = 0, nodes: int = 32,
-        strict: Optional[bool] = None,
+        strict: bool = False,
         jobs: Optional[int] = None,
         spans: bool = False) -> ResourceFigure:
     return _resources("fig06", "Grep resource usage (32 nodes, 768 GB)",
@@ -270,7 +266,7 @@ def _terasort(nodes: int, total_bytes: float) -> TeraSort:
 
 def fig07_terasort_weak(trials: int = 3, seed: int = 0,
                         nodes: Sequence[int] = (17, 34, 63),
-                        strict: Optional[bool] = None,
+                        strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -283,7 +279,7 @@ def fig07_terasort_weak(trials: int = 3, seed: int = 0,
 
 def fig08_terasort_strong(trials: int = 3, seed: int = 0,
                           nodes: Sequence[int] = (55, 73, 97),
-                          strict: Optional[bool] = None,
+                          strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -295,7 +291,7 @@ def fig08_terasort_strong(trials: int = 3, seed: int = 0,
 
 
 def fig09_terasort_resources(seed: int = 0, nodes: int = 55,
-        strict: Optional[bool] = None,
+        strict: bool = False,
         jobs: Optional[int] = None,
         spans: bool = False) -> ResourceFigure:
     return _resources("fig09",
@@ -309,7 +305,7 @@ def fig09_terasort_resources(seed: int = 0, nodes: int = 55,
 # K-Means (Figs. 10-11)
 # ----------------------------------------------------------------------
 def fig10_kmeans_resources(seed: int = 0, nodes: int = 24,
-        strict: Optional[bool] = None,
+        strict: bool = False,
         jobs: Optional[int] = None,
         spans: bool = False) -> ResourceFigure:
     return _resources(
@@ -320,7 +316,7 @@ def fig10_kmeans_resources(seed: int = 0, nodes: int = 24,
 
 def fig11_kmeans_scaling(trials: int = 3, seed: int = 0,
                          nodes: Sequence[int] = (8, 14, 20, 24),
-                         strict: Optional[bool] = None,
+                         strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -348,7 +344,7 @@ def _cc(graph: GraphDatasetModel, cfg: ExperimentConfig,
 
 def fig12_pagerank_small(trials: int = 3, seed: int = 0,
                          nodes: Sequence[int] = (8, 14, 20, 27),
-                         strict: Optional[bool] = None,
+                         strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -361,7 +357,7 @@ def fig12_pagerank_small(trials: int = 3, seed: int = 0,
 
 def fig13_pagerank_medium(trials: int = 3, seed: int = 0,
                           nodes: Sequence[int] = (24, 27, 34, 55),
-                          strict: Optional[bool] = None,
+                          strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -374,7 +370,7 @@ def fig13_pagerank_medium(trials: int = 3, seed: int = 0,
 
 def fig14_cc_small(trials: int = 3, seed: int = 0,
                    nodes: Sequence[int] = (8, 14, 20, 27),
-                   strict: Optional[bool] = None,
+                   strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -387,7 +383,7 @@ def fig14_cc_small(trials: int = 3, seed: int = 0,
 
 def fig15_cc_medium(trials: int = 3, seed: int = 0,
                     nodes: Sequence[int] = (27, 34, 55),
-                    strict: Optional[bool] = None,
+                    strict: bool = False,
         jobs: Optional[int] = None,
         checkpoint=None) -> ScalingFigure:
     return _scaling(
@@ -399,7 +395,7 @@ def fig15_cc_medium(trials: int = 3, seed: int = 0,
 
 
 def fig16_pagerank_resources(seed: int = 0, nodes: int = 27,
-        strict: Optional[bool] = None,
+        strict: bool = False,
         jobs: Optional[int] = None,
         spans: bool = False) -> ResourceFigure:
     cfg = small_graph_preset(nodes)
@@ -410,7 +406,7 @@ def fig16_pagerank_resources(seed: int = 0, nodes: int = 27,
 
 
 def fig17_cc_resources(seed: int = 0, nodes: int = 27,
-        strict: Optional[bool] = None,
+        strict: bool = False,
         jobs: Optional[int] = None,
         spans: bool = False) -> ResourceFigure:
     cfg = medium_graph_preset(nodes)
@@ -443,11 +439,10 @@ class LargeGraphCell:
 def tab07_large_graph(seed: int = 0,
                       node_counts: Sequence[int] = (27, 44, 97),
                       double_edge_partitions: bool = True,
-                      strict: Optional[bool] = None,
+                      strict: bool = False,
                       jobs: Optional[int] = None) -> List[LargeGraphCell]:
     """Run the Table VII grid; Flink's load includes the vertex count."""
     from .runner import run_once
-    strict_flag = strict_enabled(strict)
     labels: List[Tuple[str, str, int]] = []
     tasks = []
     for nodes in node_counts:
@@ -460,8 +455,7 @@ def tab07_large_graph(seed: int = 0,
         for name, workload in workloads:
             for engine in ENGINES:
                 labels.append((engine, name, nodes))
-                tasks.append((engine, workload, cfg, seed, False,
-                              strict_flag))
+                tasks.append((engine, workload, cfg, seed, False, strict))
     results = parallel_map(run_once, tasks, jobs=jobs)
     cells: List[LargeGraphCell] = []
     for (engine, name, nodes), result in zip(labels, results):
@@ -583,7 +577,7 @@ def _fault_cells_task(engine: str, workload: Workload,
 
 def fig18_fault_recovery(seed: int = 0, nodes: int = 4,
                          fractions: Sequence[float] = (0.25, 0.5, 0.75),
-                         strict: Optional[bool] = None,
+                         strict: bool = False,
                          jobs: Optional[int] = None) -> FaultFigure:
     """Single-node crash recovery sweep (extension of §VIII).
 
@@ -594,13 +588,11 @@ def fig18_fault_recovery(seed: int = 0, nodes: int = 4,
     Spark pays stage-level re-execution; Flink 0.10 restarts the whole
     pipeline, so its overhead grows with the failure point.
     """
-    strict_flag = strict_enabled(strict)
     workloads = [
         (WordCount(total_bytes=nodes * 4 * GiB), wordcount_grep_preset(nodes)),
         (_terasort(nodes, nodes * 2 * GiB), terasort_preset(nodes)),
     ]
-    tasks = [(engine, workload, cfg, nodes, tuple(fractions), seed,
-              strict_flag)
+    tasks = [(engine, workload, cfg, nodes, tuple(fractions), seed, strict)
              for workload, cfg in workloads for engine in ENGINES]
     cell_groups = parallel_map(_fault_cells_task, tasks, jobs=jobs)
     cells: List[FaultCell] = [c for group in cell_groups for c in group]
@@ -616,7 +608,7 @@ def fig19_resilience(seed: int = 0, nodes: int = 8,
                      rates: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
                      trials: int = 1, stragglers: int = 0,
                      workload_names: Optional[Sequence[str]] = None,
-                     strict: Optional[bool] = None,
+                     strict: bool = False,
                      jobs: Optional[int] = None,
                      timeout: Optional[float] = None,
                      checkpoint=None):
@@ -653,7 +645,7 @@ def fig20_streaming_latency(seed: int = 0, nodes: int = 8,
                             load_fractions: Optional[Sequence[float]] = None,
                             arrival_kinds: Optional[Sequence[str]] = None,
                             duration: Optional[float] = None,
-                            strict: Optional[bool] = None,
+                            strict: bool = False,
                             jobs: Optional[int] = None,
                             timeout: Optional[float] = None,
                             checkpoint=None):
@@ -684,7 +676,7 @@ def fig21_streaming_recovery(seed: int = 0, nodes: int = 8,
                                  Sequence[float]] = None,
                              crash_at: Optional[float] = None,
                              duration: Optional[float] = None,
-                             strict: Optional[bool] = None,
+                             strict: bool = False,
                              jobs: Optional[int] = None,
                              timeout: Optional[float] = None,
                              checkpoint=None):
@@ -716,7 +708,7 @@ def fig22_degradation(seed: int = 0, nodes: int = 8,
                       fault_rates: Optional[Sequence[float]] = None,
                       policies: Optional[Sequence[str]] = None,
                       duration: Optional[float] = None,
-                      strict: Optional[bool] = None,
+                      strict: bool = False,
                       jobs: Optional[int] = None,
                       timeout: Optional[float] = None,
                       checkpoint=None):
@@ -759,7 +751,7 @@ def fig23_tenancy(seed: int = 0, nodes: int = 8,
                   trials: int = 1,
                   jobs_target: Optional[int] = None,
                   crash_rate: float = 0.0,
-                  strict: Optional[bool] = None,
+                  strict: bool = False,
                   jobs: Optional[int] = None,
                   timeout: Optional[float] = None,
                   checkpoint=None):

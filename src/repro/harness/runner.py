@@ -39,7 +39,7 @@ from ..hdfs.filesystem import HDFS
 from ..observability import (CriticalPath, SpanAttribution, SpanTracer,
                              SpanTree, attribute_spans,
                              extract_critical_path)
-from ..validation.invariants import InvariantChecker, strict_enabled
+from ..validation.invariants import InvariantChecker
 from ..workloads.base import Workload
 
 __all__ = ["Deployment", "RunFailed", "TrialStats", "TracedRun", "deploy",
@@ -167,15 +167,14 @@ class TrialStats:
 
 def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
              seed: int = 0, keep_deployment: bool = False,
-             strict: Optional[bool] = None,
+             strict: bool = False,
              tracer: Optional[SpanTracer] = None) -> EngineRunResult:
     """Deploy, import the dataset, run every job of the workload.
 
     ``strict`` attaches an :class:`~repro.validation.InvariantChecker`
     to the deployment: the kernel and fluid scheduler are audited online
     and the whole cluster post-run; any violation raises
-    :class:`~repro.validation.InvariantViolation`.  ``None`` defers to
-    :func:`repro.validation.set_strict_default`.
+    :class:`~repro.validation.InvariantViolation`.
 
     ``tracer`` attaches a :class:`~repro.observability.SpanTracer` to
     the deployment: the engines record their run/job/stage/operator/
@@ -191,7 +190,7 @@ def run_once(engine_name: str, workload: Workload, config: ExperimentConfig,
     cluster through ``keep_deployment`` (the monitoring panels).  The
     fluid solve never reads a trace, so the result is the same.
     """
-    checker = InvariantChecker() if strict_enabled(strict) else None
+    checker = InvariantChecker() if strict else None
     record = checker is not None or tracer is not None or keep_deployment
     deployment = deploy(engine_name, workload, config, seed=seed,
                         trace_detail="full" if record else "off")
@@ -247,7 +246,7 @@ class TracedRun:
 
 def run_traced(engine_name: str, workload: Workload,
                config: ExperimentConfig, seed: int = 0,
-               strict: Optional[bool] = None) -> TracedRun:
+               strict: bool = False) -> TracedRun:
     """Run once with a span tracer attached and analyse the tree.
 
     Returns a :class:`TracedRun` bundling the span tree, its critical
@@ -272,7 +271,7 @@ def run_traced(engine_name: str, workload: Workload,
 
 def run_correlated(engine_name: str, workload: Workload,
                    config: ExperimentConfig, seed: int = 0,
-                   step: float = 1.0, strict: Optional[bool] = None,
+                   step: float = 1.0, strict: bool = False,
                    collect_spans: bool = False):
     """Run once and join the result with its resource traces.
 
@@ -291,7 +290,7 @@ def run_correlated(engine_name: str, workload: Workload,
     if not result.success:
         raise RunFailed(f"run failed, cannot correlate: {result.failure}")
     run = correlate(deployment.cluster, result, step=step)
-    if strict_enabled(strict):
+    if strict:
         checker = InvariantChecker()
         checker.audit_frames(run.frames)
         checker.require_clean(
@@ -307,7 +306,7 @@ def run_correlated(engine_name: str, workload: Workload,
 
 def run_trials(engine_name: str, workload: Workload,
                config: ExperimentConfig, trials: int = 3,
-               base_seed: int = 0, strict: Optional[bool] = None
+               base_seed: int = 0, strict: bool = False
                ) -> TrialStats:
     """Repeat :func:`run_once` with fresh deployments and varied seeds."""
     stats = TrialStats(engine=engine_name, workload=workload.name,

@@ -16,7 +16,6 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO
 
 from ..config.presets import ExperimentConfig, with_overrides
-from ..validation.invariants import strict_enabled
 from ..workloads.base import Workload
 from .campaign import run_campaign
 from .parallel import TaskFailure
@@ -63,7 +62,7 @@ def _combo_task(engine: str, workload: Workload, config: ExperimentConfig,
 
 def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
           grid: Dict[str, Sequence], trials: int = 1,
-          base_seed: int = 0, strict: Optional[bool] = None,
+          base_seed: int = 0, strict: bool = False,
           jobs: Optional[int] = None,
           checkpoint=None) -> List[Dict[str, object]]:
     """Run the cartesian product of ``grid`` values.
@@ -92,7 +91,6 @@ def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
     if not grid:
         raise ValueError("empty sweep grid")
     keys = list(grid)
-    strict_flag = strict_enabled(strict)
     cells = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
@@ -101,7 +99,7 @@ def sweep(engine: str, workload: Workload, base_config: ExperimentConfig,
                        "overrides": overrides, "trials": trials,
                        "base_seed": base_seed},
                       (engine, workload, config, overrides, trials,
-                       base_seed, strict_flag)))
+                       base_seed, strict)))
     rows = run_campaign(_combo_task, cells, checkpoint, jobs=jobs)
     for (key, _args), row in zip(cells, rows):
         if isinstance(row, TaskFailure):

@@ -38,7 +38,6 @@ from ..config.presets import (ExperimentConfig, GiB, kmeans_preset,
 from ..harness.campaign import cell_delay, run_campaign
 from ..harness.checkpoint import CheckpointStore
 from ..harness.parallel import TaskFailure
-from ..validation.invariants import strict_enabled
 from ..workloads import (ConnectedComponents, Grep, KMeans, PageRank,
                          TeraSort, WordCount)
 from ..workloads.base import Workload
@@ -239,7 +238,7 @@ def resilience_sweep(
         rates: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
         trials: int = 1, nodes: int = 8, seed: int = 0,
         stragglers: int = 0,
-        strict: Optional[bool] = None, jobs: Optional[int] = None,
+        strict: bool = False, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
         checkpoint: Optional[CheckpointStore] = None,
         figure_id: str = "fig19") -> ResilienceFigure:
@@ -256,7 +255,6 @@ def resilience_sweep(
     """
     if workloads is None:
         workloads = default_workloads(nodes)
-    strict_flag = strict_enabled(strict)
     cells = []
     for name, workload, config in workloads:
         for engine in engines:
@@ -269,7 +267,7 @@ def resilience_sweep(
                         "seed": cell_seed, "nodes": nodes,
                         "stragglers": stragglers,
                     }, (engine, workload, config, name, rate, trial,
-                        cell_seed, stragglers, strict_flag)))
+                        cell_seed, stragglers, strict)))
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
                            timeout=timeout, retries=retries)
     figure_cells = [

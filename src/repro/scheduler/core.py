@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.recovery import FlinkRestartPolicy
-from ..validation.invariants import InvariantChecker, strict_enabled
+from ..validation.invariants import InvariantChecker
 from .mix import CrashEvent, TenancyPlan
 from .policies import QueueConfig
 
@@ -232,7 +232,7 @@ def run_tenancy(plan: TenancyPlan, policy, services: Dict[str, float],
                 crashes: Sequence[CrashEvent] = (),
                 restart_budget="engine",
                 tracer=None,
-                strict: Optional[bool] = None) -> TenancyResult:
+                strict: bool = False) -> TenancyResult:
     """Simulate a tenancy plan on ``nodes`` shared nodes under ``policy``.
 
     ``services`` maps template names to profiled service seconds (see
@@ -503,7 +503,7 @@ def run_tenancy(plan: TenancyPlan, policy, services: Dict[str, float],
 
     if tracer is not None:
         _record_spans(tracer, result)
-    if strict_enabled(strict):
+    if strict:
         checker = InvariantChecker()
         checker.audit_scheduling(result)
         checker.require_clean(

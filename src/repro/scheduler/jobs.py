@@ -24,7 +24,7 @@ reuses the exact workload constructions PR 5 pinned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 __all__ = ["JobProfile", "JobTemplate", "profile_templates"]
 
@@ -77,8 +77,7 @@ class JobProfile:
 
 
 def profile_templates(templates: Sequence[JobTemplate], seed: int = 0,
-                      strict: Optional[bool] = None
-                      ) -> Dict[str, JobProfile]:
+                      strict: bool = False) -> Dict[str, JobProfile]:
     """Measure every template's service time via the legacy path.
 
     Each distinct template runs once, alone, on a fresh ``width``-node

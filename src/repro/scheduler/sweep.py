@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..harness.campaign import cell_delay, run_campaign
 from ..harness.checkpoint import CheckpointStore
 from ..harness.parallel import TaskFailure
-from ..validation.invariants import strict_enabled
 from .core import run_tenancy
 from .jobs import JobTemplate, profile_templates
 from .mix import WorkloadMix, compile_crash_plan
@@ -244,7 +243,7 @@ def tenancy_sweep(
         crash_rate: float = 0.0,
         templates: Optional[Sequence[JobTemplate]] = None,
         queues: Optional[Sequence[QueueConfig]] = None,
-        strict: Optional[bool] = None, jobs: Optional[int] = None,
+        strict: bool = False, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
         checkpoint: Optional[CheckpointStore] = None,
         figure_id: str = "fig23") -> TenancyFigure:
@@ -264,8 +263,7 @@ def tenancy_sweep(
         queues = default_queues(nodes)
     for policy in policies:
         make_policy(policy)  # fail fast on unknown names
-    strict_flag = strict_enabled(strict)
-    profiles = profile_templates(templates, seed=seed, strict=strict_flag)
+    profiles = profile_templates(templates, seed=seed, strict=strict)
     services = {name: p.service_seconds for name, p in profiles.items()}
 
     templates_payload = [t.payload() for t in templates]
@@ -285,7 +283,7 @@ def tenancy_sweep(
                     "queues": queues_payload,
                 }, (policy, load, trial, cell_seed, nodes, templates_payload,
                     queues_payload, services, crash_rate, jobs_target,
-                    strict_flag)))
+                    strict)))
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
                            timeout=timeout, retries=retries)
     figure_cells = [

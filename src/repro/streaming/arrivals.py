@@ -29,6 +29,7 @@ midpoint (see :mod:`repro.streaming.engines`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
@@ -37,7 +38,8 @@ import numpy as np
 from ..validation.digest import digest_payload
 
 __all__ = ["ArrivalPlan", "PoissonArrivals", "MMPPArrivals",
-           "ARRIVAL_KINDS", "make_arrivals", "DEFAULT_SLICE_WIDTH"]
+           "ARRIVAL_KINDS", "make_arrivals", "DEFAULT_SLICE_WIDTH",
+           "slice_count"]
 
 #: Ingest granularity (seconds) the plans are compiled at.
 DEFAULT_SLICE_WIDTH = 0.25
@@ -98,10 +100,19 @@ class ArrivalPlan:
         return digest_payload(self.payload())
 
 
-def _num_slices(duration: float, slice_width: float) -> int:
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return max(1, int(round(duration / slice_width)))
+def slice_count(duration: float,
+                slice_width: float = DEFAULT_SLICE_WIDTH) -> int:
+    """The number of ingest slices in ``duration``.
+
+    ``duration`` must be a positive whole number of slices (to a
+    relative 1e-9): a plan that ended before or after ``duration``
+    would skew every rate, goodput and drain that divides by it.
+    """
+    count = round(duration / slice_width) if math.isfinite(duration) else 0
+    if count < 1 or abs(count * slice_width - duration) > 1e-9 * duration:
+        raise ValueError(f"duration must be a positive whole number of "
+                         f"{slice_width:g}s slices, got {duration:g}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ class PoissonArrivals:
 
     def compile(self, seed: int, duration: float,
                 slice_width: float = DEFAULT_SLICE_WIDTH) -> ArrivalPlan:
-        n = _num_slices(duration, slice_width)
+        n = slice_count(duration, slice_width)
         rng = np.random.default_rng([int(seed), 0x5EA])
         counts = rng.poisson(self.rate * slice_width, size=n)
         return ArrivalPlan(kind=self.kind, rate=self.rate,
@@ -166,7 +177,7 @@ class MMPPArrivals:
 
     def compile(self, seed: int, duration: float,
                 slice_width: float = DEFAULT_SLICE_WIDTH) -> ArrivalPlan:
-        n = _num_slices(duration, slice_width)
+        n = slice_count(duration, slice_width)
         rng = np.random.default_rng([int(seed), 0xB5B])
         counts = []
         burst = False            # start calm: bursts are the exception

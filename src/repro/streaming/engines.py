@@ -68,7 +68,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..cluster.topology import Cluster
 from ..engines.common.execution import (PhaseExecutor, PhaseSpec,
                                         uniform_resources)
-from ..validation.invariants import InvariantChecker, strict_enabled
+from ..validation.invariants import InvariantChecker
 from .arrivals import DEFAULT_SLICE_WIDTH, ArrivalPlan
 from .model import StreamingWorkloadModel
 from .policies import BatchIntervalController, FixedDelayRestart
@@ -811,7 +811,7 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
                   crash_times: Sequence[float] = (),
                   restart_strategy=None, shedding=None,
                   batch_policy=None,
-                  strict: Optional[bool] = None,
+                  strict: bool = False,
                   tracer=None) -> StreamingRunResult:
     """Execute one streaming run on the fluid kernel.
 
@@ -859,7 +859,6 @@ def run_streaming(engine: str, arrivals, *, duration: float = 30.0,
     else:
         plan = arrivals.compile(seed, duration)
 
-    strict = strict_enabled(strict)
     # Only the strict audit and a traced run read this cluster's traces.
     cluster = Cluster(nodes, seed=seed, trace_detail=(
         "full" if strict or tracer is not None else "off"))

@@ -44,8 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..harness.campaign import cell_delay, run_campaign
 from ..harness.checkpoint import CheckpointStore
 from ..harness.parallel import TaskFailure
-from ..validation.invariants import strict_enabled
-from .arrivals import ARRIVAL_KINDS, make_arrivals
+from .arrivals import ARRIVAL_KINDS, make_arrivals, slice_count
 from .engines import STREAMING_ENGINES, run_streaming
 from .model import StreamingWorkloadModel, max_stable_throughput
 
@@ -221,7 +220,7 @@ def streaming_sweep(
         nodes: int = 8, seed: int = 0, duration: float = DEFAULT_DURATION,
         batch_interval: float = 1.0,
         crash_at: Optional[float] = None,
-        strict: Optional[bool] = None, jobs: Optional[int] = None,
+        strict: bool = False, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
         checkpoint: Optional[CheckpointStore] = None) -> StreamingFigure:
     """Run a streaming campaign and assemble the figure.
@@ -239,8 +238,10 @@ def streaming_sweep(
     :func:`~repro.harness.campaign.run_campaign`; a cell whose worker
     raises, or crashes or exceeds ``timeout`` past its retries, is
     reported as an explicit gap.  ``checkpoint`` journals finished
-    cells for kill-and-resume.
+    cells for kill-and-resume.  A ``duration`` that is not a whole
+    number of ingest slices raises ``ValueError`` before any cell runs.
     """
+    slice_count(duration)
     labels: List[Tuple[str, str, float, float]] = []
     if checkpoint_intervals is not None:
         fraction = load_fractions[0]
@@ -259,14 +260,13 @@ def streaming_sweep(
         title = (f"Latency percentiles vs offered load "
                  f"({nodes} nodes, {duration:g}s campaigns)")
 
-    strict_flag = strict_enabled(strict)
     cells = [({
         "figure_id": figure_id, "engine": engine, "arrival_kind": kind,
         "load_fraction": fraction, "checkpoint_interval": interval,
         "nodes": nodes, "seed": seed, "duration": duration,
         "batch_interval": batch_interval, "crash_at": crash_at,
     }, (engine, kind, fraction, interval, nodes, seed, duration,
-        batch_interval, crash_at, strict_flag))
+        batch_interval, crash_at, strict))
         for engine, kind, fraction, interval in labels]
     results = run_campaign(_cell_task, cells, checkpoint, jobs=jobs,
                            timeout=timeout, retries=retries)
@@ -392,7 +392,7 @@ def degradation_sweep(
         nodes: int = 8, seed: int = 0,
         duration: float = DEFAULT_DURATION,
         batch_interval: float = 1.0,
-        strict: Optional[bool] = None, jobs: Optional[int] = None,
+        strict: bool = False, jobs: Optional[int] = None,
         timeout: Optional[float] = None, retries: int = 1,
         checkpoint: Optional[CheckpointStore] = None
 ) -> StreamingFigure:
@@ -400,19 +400,20 @@ def degradation_sweep(
 
     One cell per engine x load multiple x fault rate x policy, run like
     :func:`streaming_sweep`'s (gaps, retries, checkpoint journaling,
-    bit-identical at any ``jobs``).
+    bit-identical at any ``jobs``), and refuses a ``duration`` that is
+    not a whole number of ingest slices before any cell runs.
     """
+    slice_count(duration)
     title = (f"Overload survival: goodput/loss/p99/availability vs "
              f"load multiple x fault rate x policy "
              f"({nodes} nodes, {duration:g}s campaigns)")
-    strict_flag = strict_enabled(strict)
     cells = [({
         "figure_id": figure_id, "engine": engine,
         "load_multiple": multiple, "fault_rate": rate, "policy": policy,
         "nodes": nodes, "seed": seed, "duration": duration,
         "batch_interval": batch_interval,
     }, (engine, multiple, rate, policy, nodes, seed, duration,
-        batch_interval, strict_flag))
+        batch_interval, strict))
         for engine in engines for multiple in load_multiples
         for rate in fault_rates for policy in policies]
     results = run_campaign(_degrade_task, cells, checkpoint, jobs=jobs,

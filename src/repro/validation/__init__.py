@@ -22,16 +22,11 @@ under ``tests/golden/`` (``repro validate --replay``).
 
 from .digest import (canonical, digest_payload, resource_payload,
                      scaling_payload, table_payload)
-from .invariants import (InvariantChecker, InvariantViolation,
-                         set_strict_default, strict_checking,
-                         strict_enabled)
+from .invariants import InvariantChecker, InvariantViolation
 
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
-    "set_strict_default",
-    "strict_checking",
-    "strict_enabled",
     "canonical",
     "digest_payload",
     "scaling_payload",

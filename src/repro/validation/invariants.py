@@ -27,7 +27,6 @@ any violation indicates a scheduler bug, not model noise.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from ..cluster.simulation import SimulationError
@@ -36,9 +35,6 @@ from ..cluster.trace import check_series_bounds
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
-    "set_strict_default",
-    "strict_checking",
-    "strict_enabled",
 ]
 
 
@@ -52,42 +48,6 @@ class InvariantViolation(SimulationError):
             f"  - {listing}")
         self.context = context
         self.violations = list(violations)
-
-
-# ----------------------------------------------------------------------
-# strict-mode default (what `strict=None` resolves to)
-# ----------------------------------------------------------------------
-_STRICT_DEFAULT = False
-
-
-def set_strict_default(value: bool) -> bool:
-    """Set the process-wide default for ``strict=None``; returns the
-    previous default."""
-    global _STRICT_DEFAULT
-    previous = _STRICT_DEFAULT
-    _STRICT_DEFAULT = bool(value)
-    return previous
-
-
-def strict_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve an explicit ``strict`` argument against the default."""
-    if explicit is None:
-        return _STRICT_DEFAULT
-    return bool(explicit)
-
-
-@contextmanager
-def strict_checking(value: bool = True):
-    """Context manager: every run inside audits itself.
-
-    >>> with strict_checking():
-    ...     fig01_wordcount_weak(trials=1, nodes=(2,))
-    """
-    previous = set_strict_default(value)
-    try:
-        yield
-    finally:
-        set_strict_default(previous)
 
 
 class InvariantChecker:

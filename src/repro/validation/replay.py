@@ -49,83 +49,87 @@ GOLDEN_RELPATH = Path("tests") / "golden" / "digests.json"
 
 @dataclass(frozen=True)
 class ReplayScenario:
-    """One replayable paper artefact at regression-test scale."""
+    """One replayable paper artefact at regression-test scale.
+
+    ``run(seed)`` always audits: every scenario passes ``strict=True``,
+    so a digest is never taken from an unchecked run.
+    """
 
     name: str
     description: str
-    run: Callable[[int, Optional[bool]], Any]
+    run: Callable[[int], Any]
 
-    def digest(self, seed: int = 0, strict: Optional[bool] = None) -> str:
-        return digest_payload(self.run(seed, strict))
+    def digest(self, seed: int = 0) -> str:
+        return digest_payload(self.run(seed))
 
 
-def _fig01(seed: int, strict: Optional[bool]) -> Any:
+def _fig01(seed: int) -> Any:
     fig = figures.fig01_wordcount_weak(trials=1, seed=seed, nodes=(2, 4),
-                                       strict=strict)
+                                       strict=True)
     return scaling_payload(fig)
 
 
-def _fig10(seed: int, strict: Optional[bool]) -> Any:
-    fig = figures.fig10_kmeans_resources(seed=seed, nodes=8, strict=strict)
+def _fig10(seed: int) -> Any:
+    fig = figures.fig10_kmeans_resources(seed=seed, nodes=8, strict=True)
     return resource_payload(fig)
 
 
-def _tab07(seed: int, strict: Optional[bool]) -> Any:
+def _tab07(seed: int) -> Any:
     cells = figures.tab07_large_graph(seed=seed, node_counts=(27,),
-                                      strict=strict)
+                                      strict=True)
     return table_payload(cells)
 
 
-def _fig18(seed: int, strict: Optional[bool]) -> Any:
+def _fig18(seed: int) -> Any:
     fig = figures.fig18_fault_recovery(seed=seed, nodes=4,
-                                       fractions=(0.5,), strict=strict)
+                                       fractions=(0.5,), strict=True)
     return fault_payload(fig)
 
 
-def _fig19(seed: int, strict: Optional[bool]) -> Any:
+def _fig19(seed: int) -> Any:
     fig = figures.fig19_resilience(
         seed=seed, nodes=8, rates=(0.0, 1.0), trials=1,
         workload_names=("wordcount", "terasort", "pagerank"),
-        strict=strict)
+        strict=True)
     return resilience_payload(fig)
 
 
-def _fig20(seed: int, strict: Optional[bool]) -> Any:
+def _fig20(seed: int) -> Any:
     fig = figures.fig20_streaming_latency(
         seed=seed, nodes=4, load_fractions=(0.3, 0.9), duration=20.0,
-        strict=strict)
+        strict=True)
     return streaming_payload(fig)
 
 
-def _fig21(seed: int, strict: Optional[bool]) -> Any:
+def _fig21(seed: int) -> Any:
     fig = figures.fig21_streaming_recovery(
         seed=seed, nodes=4, checkpoint_intervals=(2.0, 9.0),
-        crash_at=13.0, duration=24.0, strict=strict)
+        crash_at=13.0, duration=24.0, strict=True)
     return streaming_payload(fig)
 
 
-def _fig22(seed: int, strict: Optional[bool]) -> Any:
+def _fig22(seed: int) -> Any:
     fig = figures.fig22_degradation(
         seed=seed, nodes=4, load_multiples=(1.0, 1.5),
-        fault_rates=(0.0, 0.5), duration=16.0, strict=strict)
+        fault_rates=(0.0, 0.5), duration=16.0, strict=True)
     return streaming_payload(fig)
 
 
-def _fig23(seed: int, strict: Optional[bool]) -> Any:
+def _fig23(seed: int) -> Any:
     fig = figures.fig23_tenancy(
         seed=seed, nodes=4, loads=(0.5, 0.9), trials=1, jobs_target=6,
-        strict=strict)
+        strict=True)
     return tenancy_payload(fig)
 
 
-def _trace01(seed: int, strict: Optional[bool]) -> Any:
+def _trace01(seed: int) -> Any:
     from ..config.presets import GiB, wordcount_grep_preset
     from ..harness.runner import run_traced
     from ..workloads import WordCount
     nodes = 8
     traced = run_traced("spark", WordCount(total_bytes=nodes * 24 * GiB),
                         wordcount_grep_preset(nodes), seed=seed,
-                        strict=strict)
+                        strict=True)
     return trace_payload(traced)
 
 
@@ -219,15 +223,13 @@ def _select(names: Optional[Sequence[str]]) -> List[ReplayScenario]:
     return [SCENARIOS[n] for n in names]
 
 
-def compute_digests(names: Optional[Sequence[str]] = None, seed: int = 0,
-                    strict: Optional[bool] = True) -> Dict[str, str]:
+def compute_digests(names: Optional[Sequence[str]] = None,
+                    seed: int = 0) -> Dict[str, str]:
     """Run the selected scenarios and return their digests."""
-    return {sc.name: sc.digest(seed=seed, strict=strict)
-            for sc in _select(names)}
+    return {sc.name: sc.digest(seed=seed) for sc in _select(names)}
 
 
 def verify_replay(names: Optional[Sequence[str]] = None, seed: int = 0,
-                  strict: Optional[bool] = True,
                   path: Optional[Path] = None) -> List[str]:
     """Replay scenarios against the golden digests.
 
@@ -238,7 +240,7 @@ def verify_replay(names: Optional[Sequence[str]] = None, seed: int = 0,
     golden = load_golden(path)
     problems: List[str] = []
     for scenario in _select(names):
-        digest = scenario.digest(seed=seed, strict=strict)
+        digest = scenario.digest(seed=seed)
         expected = golden.get(scenario.name)
         if expected is None:
             problems.append(

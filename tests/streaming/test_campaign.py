@@ -17,7 +17,7 @@ import pytest
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.figures import (fig20_streaming_latency,
                                    fig21_streaming_recovery)
-from repro.streaming import streaming_sweep
+from repro.streaming import degradation_sweep, streaming_sweep
 from repro.validation.digest import digest_payload, streaming_payload
 
 LOADS = (0.3, 0.6)
@@ -129,6 +129,18 @@ def test_worker_failure_becomes_a_gap_not_an_abort():
     good = next(c for c in fig.cells if not c.gap)
     assert good.engine == "flink" and good.stable
     assert "GAP" in fig.describe()
+
+
+@pytest.mark.parametrize("sweep", [streaming_sweep, degradation_sweep])
+def test_duration_off_the_slice_grid_is_refused_before_any_cell(
+        sweep, monkeypatch):
+    # Refused once, up front: a refusal inside each cell would turn the
+    # whole campaign into gaps and still exit 0.
+    def no_cells(*args, **kwargs):
+        raise AssertionError("the campaign ran cells")
+    monkeypatch.setattr("repro.streaming.sweep.run_campaign", no_cells)
+    with pytest.raises(ValueError, match="whole number of 0.25s slices"):
+        sweep(nodes=2, duration=10.1)
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,23 @@ def test_arrival_validation():
         ArrivalPlan("poisson", 1.0, 1.0, 0.25, 0, counts=(-1,))
 
 
+@pytest.mark.parametrize("duration", [10.1, 10.2, 0.1, -1.0, math.nan])
+@pytest.mark.parametrize("process", [PoissonArrivals, MMPPArrivals])
+def test_plan_refuses_a_duration_off_the_slice_grid(process, duration):
+    # 10.1 s is 40.4 slices: rounding to 40 ended the plan at 10.0 s
+    # while its offered rate (and a run's goodput) divided by 10.1.
+    with pytest.raises(ValueError, match="whole number of 0.25s slices"):
+        process(1000).compile(seed=0, duration=duration)
+
+
+def test_plan_covers_exactly_its_duration():
+    for duration in (0.25, 10.0, 16.0, 24.0, 40.0, 10.0 * (1 + 1e-12)):
+        plan = PoissonArrivals(1000).compile(seed=0, duration=duration)
+        assert plan.num_slices == round(duration / DEFAULT_SLICE_WIDTH)
+        assert plan.slice_close(plan.num_slices - 1) == pytest.approx(
+            duration, rel=1e-9)
+
+
 def test_slice_geometry():
     plan = ArrivalPlan("poisson", 8.0, 1.0, 0.25, 0, counts=(2, 2, 2, 2))
     assert plan.slice_close(0) == 0.25

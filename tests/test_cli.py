@@ -238,6 +238,18 @@ def test_streaming_degrade_excludes_recovery(capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--degrade"]], ids=["fig20", "fig22"])
+def test_streaming_duration_off_the_slice_grid_is_one_error_line(
+        mode, tmp_path, capsys):
+    store = tmp_path / "store"
+    argv = ["streaming", *mode, "--nodes", "2", "--loads", "0.3",
+            "--duration", "10.1", "--checkpoint", str(store)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --duration: ") and err.count("\n") == 1, err
+    assert not store.exists()
+
+
 def test_figure_fig22_command(capsys):
     rc = main(["figure", "fig22", "--jobs", "2"])
     assert rc == 0

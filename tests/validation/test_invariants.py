@@ -8,9 +8,7 @@ from repro.cluster.simulation import Simulation
 from repro.cluster.topology import Cluster
 from repro.cluster.trace import StepSeries, check_series_bounds
 from repro.monitoring.metrics import Metric, MetricFrame, validate_frame
-from repro.validation import (InvariantChecker, InvariantViolation,
-                              set_strict_default, strict_checking,
-                              strict_enabled)
+from repro.validation import InvariantChecker, InvariantViolation
 
 MiB = float(2**20)
 
@@ -244,28 +242,6 @@ def test_metric_frame_validation():
 # ----------------------------------------------------------------------
 # strict-mode plumbing
 # ----------------------------------------------------------------------
-def test_strict_default_resolution():
-    assert strict_enabled(None) is False
-    assert strict_enabled(True) is True
-    assert strict_enabled(False) is False
-    previous = set_strict_default(True)
-    try:
-        assert strict_enabled(None) is True
-        assert strict_enabled(False) is False
-    finally:
-        set_strict_default(previous)
-
-
-def test_strict_checking_context_manager_restores_default():
-    assert strict_enabled(None) is False
-    with strict_checking():
-        assert strict_enabled(None) is True
-        with strict_checking(False):
-            assert strict_enabled(None) is False
-        assert strict_enabled(None) is True
-    assert strict_enabled(None) is False
-
-
 def test_runner_strict_mode_runs_clean():
     from repro.config.presets import wordcount_grep_preset
     from repro.harness.runner import run_once

@@ -14,9 +14,9 @@ from repro.validation.replay import (ReplayScenario, compute_digests,
 def fake_scenarios(monkeypatch):
     """Replace the (expensive) real scenarios with instant fakes."""
     fakes = {
-        "alpha": ReplayScenario("alpha", "fake", lambda seed, strict:
+        "alpha": ReplayScenario("alpha", "fake", lambda seed:
                                 {"seed": seed, "value": 1}),
-        "beta": ReplayScenario("beta", "fake", lambda seed, strict:
+        "beta": ReplayScenario("beta", "fake", lambda seed:
                                {"seed": seed, "value": 2}),
     }
     monkeypatch.setattr(replay, "SCENARIOS", fakes)
