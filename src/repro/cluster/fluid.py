@@ -36,6 +36,14 @@ and refreshes the kernel wakeup a single time.  Each settle sees the
 membership and the drained bytes the last per-arrival solve of its
 instant would have seen, so rates, finish times and event counts do
 not depend on how an instant's arrivals are grouped.
+
+Completion: one event per batch.  The flows a caller starts together
+(one engine chunk's CPU, disk and network work, one HDFS write
+pipeline, one streaming slice) go through
+:meth:`FluidScheduler.transfer_many` and share one :class:`FlowBatch`,
+which counts its members down and fires when the last one completes;
+:meth:`FluidScheduler.transfer` is a batch of one.  No flow carries an
+event of its own, and no barrier over per-flow events is built.
 """
 
 from __future__ import annotations
@@ -43,12 +51,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .simulation import Event, Simulation, SimulationError, Wakeup
 from .trace import StepSeries
 
-__all__ = ["Capacity", "Flow", "FluidScheduler", "TRACE_DETAIL_MODES"]
+__all__ = ["Capacity", "Flow", "FlowBatch", "FluidScheduler", "Request",
+           "TRACE_DETAIL_MODES"]
 
 _EPS = 1e-12
 
@@ -181,6 +190,36 @@ class _Component:
         self.dirty = False
 
 
+#: One :meth:`FluidScheduler.transfer_many` request:
+#: ``(size, capacities, rate_cap)``.
+Request = Tuple[float, Sequence[Capacity], Optional[float]]
+
+
+class FlowBatch(Event):
+    """The one completion event of flows started together.
+
+    ``remaining`` counts the members not yet complete.  The batch
+    succeeds when the last one completes, with the time since the batch
+    started; an aborted member fails it with the abort error, and the
+    members still running keep running, their completions counting down
+    a batch that has already triggered.
+    """
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, sim: Simulation, remaining: int) -> None:
+        super().__init__(sim)
+        self.remaining = remaining
+
+    def _zero_byte_done(self, _event: Event) -> None:
+        """A zero-byte member completes when the kernel dispatches its
+        zero-delay event, at the instant the batch started."""
+        remaining = self.remaining - 1
+        self.remaining = remaining
+        if not remaining and not self.triggered:
+            self.succeed(0.0)
+
+
 class Flow:
     """A bulk transfer of ``size`` bytes across one or more capacities."""
 
@@ -191,11 +230,8 @@ class Flow:
     _ids = itertools.count()
 
     def __init__(self, size: float, capacities: Sequence[Capacity],
-                 done: Event, now: float, rate_cap: Optional[float] = None) -> None:
-        if size < 0:
-            raise ValueError(f"flow size must be >= 0, got {size}")
-        if not capacities:
-            raise ValueError("flow must traverse at least one capacity")
+                 done: FlowBatch, now: float,
+                 rate_cap: Optional[float] = None) -> None:
         self.id = next(Flow._ids)
         self.size = float(size)
         self.remaining = float(size)
@@ -205,6 +241,8 @@ class Flow:
         #: by :meth:`FluidScheduler._solve_multi` to detect which flows
         #: (and therefore which capacity aggregates) actually moved.
         self.prev_rate = 0.0
+        #: The batch this flow was started in; it counts the flow down
+        #: on completion and fails if the flow is aborted.
         self.done = done
         self.started_at = now
         self.last_update = now
@@ -270,38 +308,61 @@ class FluidScheduler:
     # public API
     # ------------------------------------------------------------------
     def transfer(self, size: float, capacities: Sequence[Capacity],
-                 rate_cap: Optional[float] = None) -> Event:
-        """Start a flow; returns an event that fires when it completes.
+                 rate_cap: Optional[float] = None) -> FlowBatch:
+        """Start one flow: a batch of one (see :meth:`transfer_many`).
 
-        The flow joins its capacities and component at once, but its
-        rate is solved by the next :meth:`settle`, together with every
-        other flow started in this instant.
+        The event's value is the flow's duration.
         """
-        if size < 0:
-            raise ValueError(f"flow size must be >= 0, got {size}")
+        return self._start(((size, capacities, rate_cap),))
+
+    def transfer_many(self, requests: Sequence[Request]) -> FlowBatch:
+        """Start one ``(size, capacities, rate_cap)`` flow per request.
+
+        The flows start in request order at ``sim.now`` and share one
+        returned event: it succeeds when the last of them completes,
+        with the time since they started, and fails with the first
+        abort error.  Each flow joins its capacities and component at
+        once, but its rate is solved by the next :meth:`settle`,
+        together with every other flow started in this instant.  A
+        zero-byte request makes one zero-delay kernel event, which
+        counts the batch down when it is dispatched.  An empty list, a
+        negative size, or a positive size with no capacity raises
+        ``ValueError`` before any flow starts.
+        """
+        return self._start(requests)
+
+    def _start(self, requests: Sequence[Request]) -> FlowBatch:
+        """The one flow starter behind :meth:`transfer` and
+        :meth:`transfer_many`."""
+        if not requests:
+            raise ValueError("a flow batch needs at least one request")
+        for size, capacities, _rate_cap in requests:
+            if size < 0:
+                raise ValueError(f"flow size must be >= 0, got {size}")
+            if not capacities and not size <= _EPS:
+                raise ValueError("flow must traverse at least one capacity")
         sim = self.sim
-        done = Event(sim)
-        if size <= _EPS:
-            # Zero-byte transfers complete immediately (next kernel step).
-            sim._schedule(done, 0.0)
-            done.value = 0.0
-            return done
-        flow = Flow(size, capacities, done, sim.now, rate_cap)
-        self._flows.add(flow)
-        self._insert_flow(flow)
+        now = sim.now
+        batch = FlowBatch(sim, len(requests))
+        flows = self._flows
+        insert = self._insert_flow
         pending = self._pending
-        if not pending:
+        idle = not pending
+        for size, capacities, rate_cap in requests:
+            if size <= _EPS:
+                # Zero-byte transfers complete immediately (next kernel
+                # step).
+                zero = Event(sim)
+                zero.callbacks.append(batch._zero_byte_done)
+                sim._schedule(zero, 0.0)
+                continue
+            flow = Flow(size, capacities, batch, now, rate_cap)
+            flows.add(flow)
+            insert(flow)
+            pending.append(flow)
+        if idle and pending:
             sim._unsettled.append(self)
-        pending.append(flow)
-        return done
-
-    def transfer_many(self, requests) -> List[Event]:
-        """:meth:`transfer` once per ``(size, capacities[, rate_cap])``.
-
-        Nothing in the package calls it; ``bench/layers.py`` wraps it by
-        name to count flows.
-        """
-        return [self.transfer(*request) for request in requests]
+        return batch
 
     def settle(self) -> None:
         """Solve the flows started in this instant: one max–min pass."""
@@ -346,7 +407,7 @@ class FluidScheduler:
 
     def abort_flows(self, flows: Sequence[Flow],
                     error: BaseException) -> int:
-        """Abort active flows: their ``done`` events *fail* with ``error``.
+        """Abort active flows: their batches *fail* with ``error``.
 
         Bytes already drained stay on the conservation ledger (the work
         physically happened before the fault); the remaining bytes are
@@ -897,9 +958,15 @@ class FluidScheduler:
             for cap in released:
                 if cap.last_rate != 0 and not cap.flows:
                     cap._record_rate(now, 0)
-        # Deliver completions after rates are consistent.
+        # Deliver completions after rates are consistent: each finished
+        # flow counts its batch down, and the last one fires it.  A
+        # batch that already failed (an aborted member) stays failed.
         for flow in finished:
-            flow.done.succeed(now - flow.started_at)
+            batch = flow.done
+            remaining = batch.remaining - 1
+            batch.remaining = remaining
+            if not remaining and not batch.triggered:
+                batch.succeed(now - flow.started_at)
         self._refresh_wakeup()
 
     def moved_bytes_by_capacity(self) -> Dict[str, float]:

@@ -565,15 +565,15 @@ class PhaseExecutor:
     def _chunk_events(self, node: Node, chunk: PhaseResources,
                       both_io: float) -> Event:
         cluster = self.cluster
-        # All the chunk's flows start at this same instant; the fluid
-        # scheduler solves them, with every other flow of the instant,
-        # in one pass before the clock moves on.
-        transfer = cluster.fluid.transfer
-        events = []
+        # All the chunk's flows start at this same instant as one batch
+        # with one completion event; the fluid scheduler solves them,
+        # with every other flow of the instant, in one pass before the
+        # clock moves on.
+        requests = []
         jitter = self._jitter()
         if chunk.cpu_core_seconds > 0:
-            events.append(transfer(chunk.cpu_core_seconds * jitter,
-                                   (node.cpu,), chunk.cpu_slots))
+            requests.append((chunk.cpu_core_seconds * jitter, (node.cpu,),
+                             chunk.cpu_slots))
         io_factor = jitter
         if both_io > 0:
             # Reads and writes interleaving on one spindle: seek
@@ -581,33 +581,27 @@ class PhaseExecutor:
             io_factor *= (1.0 + self.io_interference_penalty * both_io) * \
                 self._run_io_factor
         if chunk.disk_read_bytes > 0:
-            events.append(transfer(chunk.disk_read_bytes * io_factor,
-                                   (node.disk,)))
+            requests.append((chunk.disk_read_bytes * io_factor,
+                             (node.disk,), None))
         if chunk.disk_write_bytes > 0:
-            events.append(transfer(chunk.disk_write_bytes * io_factor,
-                                   (node.disk,)))
+            requests.append((chunk.disk_write_bytes * io_factor,
+                             (node.disk,), None))
         if chunk.net_in_bytes > 0:
-            events.append(transfer(chunk.net_in_bytes * jitter,
-                                   (node.nic_in,)))
+            requests.append((chunk.net_in_bytes * jitter, (node.nic_in,),
+                             None))
         if chunk.net_out_bytes > 0:
-            events.append(transfer(chunk.net_out_bytes * jitter,
-                                   (node.nic_out,)))
+            requests.append((chunk.net_out_bytes * jitter, (node.nic_out,),
+                             None))
         if chunk.hdfs_write_bytes > 0:
             if self.hdfs is not None:
-                events.append(self.hdfs.write_bytes(
+                requests.extend(self.hdfs.pipeline_requests(
                     node.index, chunk.hdfs_write_bytes,
                     replication=chunk.hdfs_replication))
             else:
-                events.append(transfer(chunk.hdfs_write_bytes,
-                                       [node.disk]))
-        if not events:
+                requests.append((chunk.hdfs_write_bytes, (node.disk,), None))
+        if not requests:
             return cluster.sim.timeout(0.0)
-        if len(events) == 1:
-            # No barrier needed for a single flow; the caller ignores the
-            # event value, and an AllOf over untriggered children consumes
-            # no kernel sequence numbers, so this is trace-identical.
-            return events[0]
-        return cluster.sim.all_of(events)
+        return cluster.fluid.transfer_many(requests)
 
     def _jitter(self) -> float:
         if self.jitter_sigma <= 0:

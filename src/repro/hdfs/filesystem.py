@@ -8,15 +8,18 @@ the engines use:
   remote disk + both NIC directions (the classic non-local HDFS read);
 * :meth:`write_bytes` — write-pipeline: a local disk write plus
   ``replication - 1`` concurrent network transfers each ending in a
-  remote disk write.
+  remote disk write, started as one flow batch
+  (:meth:`pipeline_requests` gives the same flows as requests, for an
+  engine chunk to add to its own batch).
 
 All methods return kernel events so engine processes can ``yield`` them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
+from ..cluster.fluid import Request
 from ..cluster.simulation import Event
 from ..cluster.topology import Cluster
 from .blocks import Block, HdfsFile
@@ -93,24 +96,32 @@ class HDFS:
         fires when every replica is durable.  ``replication`` overrides
         the filesystem default (e.g. TeraSort output at replication 1).
         """
+        return self.cluster.fluid.transfer_many(self.pipeline_requests(
+            writer_index, nbytes, rate_cap, replication))
+
+    def pipeline_requests(self, writer_index: int, nbytes: float,
+                          rate_cap: Optional[float] = None,
+                          replication: Optional[int] = None
+                          ) -> List[Request]:
+        """The flows of one :meth:`write_bytes` pipeline, as
+        :meth:`~repro.cluster.fluid.FluidScheduler.transfer_many`
+        requests, with the write's bytes and disk space accounted.
+
+        An engine chunk that writes to HDFS starts these in its own
+        batch, so one event covers the chunk and its pipeline.
+        """
         writer = self.cluster.node(writer_index)
         repl = self.replication if replication is None else max(1, replication)
         repl = min(repl, self.cluster.num_nodes)
         self.bytes_written += nbytes * repl
-        # The whole pipeline starts at one instant; the fluid scheduler
-        # solves its flows, with every other flow of the instant, in one
-        # pass before the clock moves on.
-        transfer = self.cluster.fluid.transfer
         writer.charge_disk_space(nbytes)
-        events = [transfer(nbytes, (writer.disk,), rate_cap)]
+        requests: List[Request] = [(nbytes, (writer.disk,), rate_cap)]
         # Deterministic replica targets: next nodes in ring order.
         for r in range(1, repl):
             target_index = (writer_index + r) % self.cluster.num_nodes
             target = self.cluster.node(target_index)
-            if target is writer:
-                continue
-            events.append(transfer(nbytes, (writer.nic_out, target.nic_in),
-                                   rate_cap))
+            requests.append((nbytes, (writer.nic_out, target.nic_in),
+                             rate_cap))
             target.charge_disk_space(nbytes)
-            events.append(transfer(nbytes, (target.disk,), rate_cap))
-        return self.cluster.sim.all_of(events)
+            requests.append((nbytes, (target.disk,), rate_cap))
+        return requests

@@ -467,17 +467,15 @@ def _continuous_slice_proc(cluster: Cluster, state: _StreamState,
     shuffle = (share * model.record_bytes * model.shuffle_fanout
                * (n - 1) / n)
     start = cluster.now
-    events = []
+    requests = []
     for node in cluster.nodes:
         if cpu > 0:
-            events.append(fluid.transfer(cpu, [node.cpu]))
+            requests.append((cpu, (node.cpu,), None))
         if shuffle > 0:
-            events.append(fluid.transfer(shuffle, [node.nic_out]))
-            events.append(fluid.transfer(shuffle, [node.nic_in]))
-    if len(events) == 1:
-        yield events[0]
-    elif events:
-        yield cluster.sim.all_of(events)
+            requests.append((shuffle, (node.nic_out,), None))
+            requests.append((shuffle, (node.nic_in,), None))
+    if requests:
+        yield fluid.transfer_many(requests)
     now = cluster.now
     state.completion[k] = now
     state.done[k] = True

@@ -239,11 +239,14 @@ def streaming_sweep(
     raises, or crashes or exceeds ``timeout`` past its retries, is
     reported as an explicit gap.  ``checkpoint`` journals finished
     cells for kill-and-resume.  A ``duration`` that is not a whole
-    number of ingest slices raises ``ValueError`` before any cell runs.
+    number of ingest slices, or a recovery sweep without ``crash_at``,
+    raises ``ValueError`` before any cell runs.
     """
     slice_count(duration)
     labels: List[Tuple[str, str, float, float]] = []
     if checkpoint_intervals is not None:
+        if crash_at is None:
+            raise ValueError("the recovery sweep needs crash_at")
         fraction = load_fractions[0]
         for engine in engines:
             for interval in checkpoint_intervals:

@@ -6,7 +6,10 @@ scheduler's wakeup is dispatched, before ``run``/``step`` return and at
 the top of every public reader of flow state.  "Eager" mode below
 settles after every arrival instead, which is the order the scheduler
 solved in when each ``transfer`` ran its own solve; both modes must
-agree on every rate, finish time and event count.
+agree on every rate, finish time and event count.  Eager mode also
+starts a ``transfer_many`` batch the per-flow way (one ``transfer`` per
+request and an ``AllOf`` over their events), so the engine runs below
+compare the batched path with the per-flow, per-arrival one.
 """
 
 import contextlib
@@ -21,19 +24,31 @@ from repro.validation.invariants import InvariantChecker
 
 @contextlib.contextmanager
 def eager():
-    """Settle after every arrival: one solve per ``transfer`` call."""
+    """Settle after every arrival: one solve per ``transfer`` call, and
+    a ``transfer_many`` batch started as one ``transfer`` per request
+    under an ``AllOf`` barrier."""
     original = FluidScheduler.transfer
+    original_many = FluidScheduler.transfer_many
 
     def transfer(self, *args, **kwargs):
         done = original(self, *args, **kwargs)
         self.settle()
         return done
 
+    def transfer_many(self, requests):
+        events = []
+        for request in requests:
+            events.append(original(self, *request))
+            self.settle()
+        return self.sim.all_of(events)
+
     FluidScheduler.transfer = transfer
+    FluidScheduler.transfer_many = transfer_many
     try:
         yield
     finally:
         FluidScheduler.transfer = original
+        FluidScheduler.transfer_many = original_many
 
 
 def changes(series):

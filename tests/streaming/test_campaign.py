@@ -143,6 +143,16 @@ def test_duration_off_the_slice_grid_is_refused_before_any_cell(
         sweep(nodes=2, duration=10.1)
 
 
+def test_recovery_sweep_without_a_crash_time_is_refused_before_any_cell(
+        monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("the campaign ran cells")
+    monkeypatch.setattr("repro.streaming.sweep.run_campaign", no_cells)
+    with pytest.raises(ValueError, match="the recovery sweep needs crash_at"):
+        streaming_sweep(checkpoint_intervals=(2.0,), crash_at=None,
+                        duration=8.0)
+
+
 # ----------------------------------------------------------------------
 # checkpoint resume identity
 # ----------------------------------------------------------------------
