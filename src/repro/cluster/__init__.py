@@ -2,8 +2,9 @@
 
 This subpackage contains no framework logic at all: it is the hardware.
 Engines (``repro.engines.spark`` / ``repro.engines.flink``) run on top
-of it, HDFS (``repro.hdfs``) stores blocks in it, and the monitoring
-layer (``repro.monitoring``) reads its resource traces.
+of it, HDFS (``repro.hdfs``) replicates their output writes across its
+nodes, and the monitoring layer (``repro.monitoring``) reads its
+resource traces.
 """
 
 from .allocation import fractional_max_min, grant_integer_max_min

@@ -84,9 +84,6 @@ class Node:
         self.nic_in = Capacity(f"{self.name}.nic.in", spec.nic_bw)
         self.nic_out = Capacity(f"{self.name}.nic.out", spec.nic_bw)
         self.memory = MemoryAccount(sim, f"{self.name}.ram", spec.memory_bytes)
-        # Bytes currently stored on the local disk (HDFS blocks, shuffle
-        # files, spills); capacity enforcement is advisory.
-        self.disk_used_bytes = 0.0
 
     def capacity_for(self, resource: str) -> Capacity:
         """Map a resource kind (``cpu``/``disk``/``nic_in``/``nic_out``)
@@ -124,12 +121,6 @@ class Node:
             raise ValueError("slow_down factor must be >= 1")
         self.cpu.bandwidth /= factor
         self.disk.bandwidth /= factor
-
-    def charge_disk_space(self, nbytes: float) -> None:
-        self.disk_used_bytes += nbytes
-
-    def free_disk_space(self, nbytes: float) -> None:
-        self.disk_used_bytes = max(0.0, self.disk_used_bytes - nbytes)
 
     def __repr__(self) -> str:
         return f"Node({self.name})"

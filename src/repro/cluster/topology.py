@@ -1,27 +1,22 @@
-"""Cluster assembly: nodes + fluid scheduler + data-movement helpers.
+"""Cluster assembly: nodes + fluid scheduler + kernel.
 
 :class:`Cluster` is the substrate every engine runs on.  It wires a
 :class:`~repro.cluster.simulation.Simulation` kernel, a
 :class:`~repro.cluster.fluid.FluidScheduler` and ``n`` identical
-:class:`~repro.cluster.node.Node` objects, and exposes the three bulk
-data movements the engines need:
-
-* ``disk_read(node, bytes)``   — local sequential read;
-* ``disk_write(node, bytes)``  — local sequential write;
-* ``transfer(src, dst, bytes)``— a network flow crossing the source
-  NIC-out and destination NIC-in (remote reads additionally cross the
-  remote disk).
-
-All return completion events, so engine processes simply ``yield`` them.
+:class:`~repro.cluster.node.Node` objects.  Bulk data moves as fluid
+flows over a node's capacities: ``cluster.fluid.transfer(nbytes,
+[node.disk])`` reads or writes a local disk, ``[src.nic_out,
+dst.nic_in]`` crosses the network, and each returns an event that
+engine processes ``yield``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .fluid import Capacity, FluidScheduler
+from .fluid import FluidScheduler
 from .node import GRID5000_PARAVANCE, HardwareSpec, Node
 from .simulation import Event, Simulation
 
@@ -67,43 +62,6 @@ class Cluster:
 
     def node(self, index: int) -> Node:
         return self.nodes[index]
-
-    # ------------------------------------------------------------------
-    # bulk data movement
-    # ------------------------------------------------------------------
-    def disk_read(self, node: Node, nbytes: float,
-                  rate_cap: Optional[float] = None) -> Event:
-        """Sequential read of ``nbytes`` from the node's local disk."""
-        return self.fluid.transfer(nbytes, [node.disk], rate_cap=rate_cap)
-
-    def disk_write(self, node: Node, nbytes: float,
-                   rate_cap: Optional[float] = None) -> Event:
-        """Sequential write of ``nbytes`` to the node's local disk."""
-        node.charge_disk_space(nbytes)
-        return self.fluid.transfer(nbytes, [node.disk], rate_cap=rate_cap)
-
-    def transfer(self, src: Node, dst: Node, nbytes: float,
-                 rate_cap: Optional[float] = None) -> Event:
-        """Move ``nbytes`` over the network from ``src`` to ``dst``.
-
-        A same-node "transfer" is loopback and does not touch the NIC.
-        """
-        if src is dst:
-            return self.fluid.transfer(0.0, [src.nic_out])
-        return self.fluid.transfer(nbytes, [src.nic_out, dst.nic_in],
-                                   rate_cap=rate_cap)
-
-    def remote_disk_read(self, reader: Node, owner: Node, nbytes: float,
-                         rate_cap: Optional[float] = None) -> Event:
-        """Read ``nbytes`` stored on ``owner``'s disk from ``reader``.
-
-        The flow crosses the remote disk and both NIC directions — the
-        non-local HDFS read path.
-        """
-        if reader is owner:
-            return self.disk_read(reader, nbytes, rate_cap=rate_cap)
-        caps: Sequence[Capacity] = [owner.disk, owner.nic_out, reader.nic_in]
-        return self.fluid.transfer(nbytes, caps, rate_cap=rate_cap)
 
     # ------------------------------------------------------------------
     # run control

@@ -27,7 +27,6 @@ Event kinds map to the failure modes the fault-tolerance literature
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Optional, Sequence, Tuple
 
@@ -215,9 +214,8 @@ class FaultPlan:
         }
 
     def digest(self) -> str:
-        from ..validation.digest import canonical
-        return hashlib.sha256(
-            canonical(self.payload()).encode()).hexdigest()
+        from ..validation.digest import digest_payload
+        return digest_payload(self.payload())
 
     def describe(self) -> str:
         if not self.events:

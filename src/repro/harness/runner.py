@@ -115,7 +115,7 @@ def deploy(engine_name: str, workload: Workload, config: ExperimentConfig,
     the named engine deployed on it."""
     cluster = Cluster(config.nodes, spec=spec, seed=seed,
                       trace_detail=trace_detail)
-    hdfs = HDFS(cluster, block_size=config.hdfs_block_size, seed=seed)
+    hdfs = HDFS(cluster, block_size=config.hdfs_block_size)
     for path, size in workload.input_files():
         hdfs.create_file(path, size)
     if engine_name == "spark":

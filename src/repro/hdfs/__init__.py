@@ -1,9 +1,6 @@
-"""Simulated HDFS 2.7: namespace, block placement and datanode I/O."""
+"""Simulated HDFS 2.7: the block size and the replicated write pipeline
+the engines use (see :mod:`repro.hdfs.filesystem`)."""
 
-from .blocks import Block, HdfsFile
 from .filesystem import HDFS
-from .namenode import (FileExistsInNamespaceError,
-                       FileNotFoundInNamespaceError, NameNode)
 
-__all__ = ["Block", "HDFS", "HdfsFile", "NameNode",
-           "FileExistsInNamespaceError", "FileNotFoundInNamespaceError"]
+__all__ = ["HDFS"]

@@ -9,7 +9,7 @@ and records
 * **slowdown** — faulted duration / fault-free baseline duration, and
 * **availability** — the fraction of trials that still completed
   (a run "dies" when the restart budget or retry budget is exhausted,
-  or an OOM is not retryable),
+  an OOM is not retryable, or the fault-free baseline itself fails),
 
 producing the slowdown-vs-rate and availability-vs-rate curves of
 ``fig19``.  Every cell is deterministic: the stochastic model compiles
@@ -48,6 +48,10 @@ __all__ = ["ResilienceCell", "ResilienceCurve", "ResilienceFigure",
            "default_workloads", "resilience_sweep"]
 
 ENGINES = ("flink", "spark")
+
+#: Prefix of a cell's ``failure`` when its fault-free run failed, so
+#: no faulted run was made.
+BASELINE_FAILED = "fault-free baseline failed: "
 
 
 def default_workloads(nodes: int = 8
@@ -129,15 +133,16 @@ def _cell_task(engine: str, workload: Workload, config: ExperimentConfig,
         stragglers=stragglers)
     plan = model.compile(seed, config.nodes)
     baseline = run_once(engine, workload, config, seed=seed, strict=strict)
-    if not baseline.success:
-        raise RuntimeError(
-            f"fault-free baseline failed for {engine}/{workload_name}: "
-            f"{baseline.failure}")
     cell = ResilienceCell(
         engine=engine, workload=workload_name, nodes=config.nodes,
         rate=rate, trial=trial, seed=seed, plan_digest=plan.digest(),
-        plan_events=len(plan.events),
-        baseline_seconds=baseline.duration)
+        plan_events=len(plan.events))
+    if not baseline.success:
+        # Simulated, and fails the same way on every attempt: an engine
+        # failure of the cell, not a gap for --resume to fill.
+        cell.failure = f"{BASELINE_FAILED}{baseline.failure}"
+        return asdict(cell)
+    cell.baseline_seconds = baseline.duration
     faulted = run_with_faults(
         engine, workload, config, plan, seed=seed,
         retry_policy=RetryPolicy(), restart_policy=FlinkRestartPolicy(),
@@ -219,6 +224,12 @@ class ResilienceFigure:
     def describe(self) -> str:
         lines = [self.title]
         lines.extend(f"  {curve.describe()}" for curve in self.curves())
+        baseline_failures = {
+            (c.engine, c.workload): c.failure for c in self.cells
+            if c.failure is not None and c.failure.startswith(BASELINE_FAILED)}
+        lines.extend(f"  {engine}/{workload}: {failure}"
+                     for (engine, workload), failure
+                     in baseline_failures.items())
         if self.gaps:
             lines.append(f"  GAPS: {len(self.gaps)} cell(s) not simulated "
                          f"(harness failures):")

@@ -9,8 +9,9 @@ Four layers:
   by a continuous-operator (Flink-style) and a micro-batch D-Stream
   (Spark-style) engine on the fluid simulation kernel;
 * :mod:`repro.streaming.policies` — overload-survival policies:
-  restart strategies (fixed / backoff / failure-rate cap), load
-  shedding, and the PID adaptive batch-interval controller;
+  restart strategies (fixed delay / exponential backoff, each with an
+  optional restart budget), probabilistic load shedding, and the PID
+  adaptive batch-interval controller;
 * :mod:`repro.streaming.sweep` — the fig20/fig21/fig22 campaigns with
   checkpointed, gap-reporting fan-out.
 """
@@ -23,12 +24,10 @@ from .engines import (DEFAULT_BARRIER_SYNC, STREAMING_ENGINES,
 from .model import (StreamingResult, StreamingWorkloadModel,
                     max_stable_throughput, simulate_flink_streaming,
                     simulate_spark_dstreams)
-from .policies import (DEGRADE_POLICIES, RESTART_STRATEGIES,
-                       AdaptiveBatchPolicy, BatchIntervalController,
-                       DropTailShedding, ExponentialBackoffRestart,
-                       FailureRateRestart, FixedDelayRestart,
-                       ProbabilisticShedding, compile_crash_schedule,
-                       make_restart_strategy, resolve_policy)
+from .policies import (DEGRADE_POLICIES, AdaptiveBatchPolicy,
+                       BatchIntervalController, ExponentialBackoffRestart,
+                       FixedDelayRestart, ProbabilisticShedding,
+                       compile_crash_schedule, resolve_policy)
 from .sweep import (DEFAULT_CHECKPOINT_INTERVALS, DEFAULT_DURATION,
                     DEFAULT_FAULT_RATES, DEFAULT_LOAD_FRACTIONS,
                     DEFAULT_LOAD_MULTIPLES, FIG21_CRASH_AT,
@@ -44,8 +43,7 @@ __all__ = [
     "queue_depth_from_buffers", "stable_drain_bound",
     "DEFAULT_BARRIER_SYNC",
     "FixedDelayRestart", "ExponentialBackoffRestart",
-    "FailureRateRestart", "make_restart_strategy", "RESTART_STRATEGIES",
-    "DropTailShedding", "ProbabilisticShedding", "AdaptiveBatchPolicy",
+    "ProbabilisticShedding", "AdaptiveBatchPolicy",
     "BatchIntervalController", "compile_crash_schedule",
     "resolve_policy", "DEGRADE_POLICIES",
     "StreamingCell", "StreamingFigure", "streaming_sweep",

@@ -33,10 +33,10 @@ kills the whole pipeline — Flink 0.10 restarts from the last completed
 barrier and replays, Spark loses the uncheckpointed batch state and
 lineage-recomputes the window since the last RDD checkpoint as one
 parallel job.  The wait before each restart comes from the run's
-*restart strategy* (:mod:`repro.streaming.policies`): fixed delay,
-exponential backoff with seeded jitter, or a failure-rate cap that
-declares the **job failed** and stops the run with an explicit
-``job_failed`` result.  A crash whose
+*restart strategy* (:mod:`repro.streaming.policies`): fixed delay or
+exponential backoff with seeded jitter, either with a restart budget
+whose exhaustion declares the **job failed** and stops the run with an
+explicit ``job_failed`` result.  A crash whose
 time passes while the pipeline is already down fires immediately after
 the restart — repeated crash sequences, not one-shot flags.  Recovery
 time is measured from the *last* crash as the first time the ingest
@@ -44,7 +44,7 @@ lag returns to its level before the *first* crash.
 
 **Overload survival**: above capacity the baseline queues grow without
 bound.  A *shedding policy* (continuous engine) bounds the source
-queue by dropping arriving records — drop-tail or probabilistic — and
+queue by dropping a rising share of arriving records, and
 a *batch policy* (D-Stream engine) adapts the batch interval with a
 PID controller and sheds at the receiver beyond the measured
 sustainable rate.  Every run accounts exactly:
@@ -176,8 +176,8 @@ class StreamingRunResult:
     #: Crashes that actually hit the run, in order.
     crashes: List[float] = field(default_factory=list)
     restarts: int = 0
-    #: The restart strategy declared the job failed (failure-rate cap
-    #: exceeded or restart budget exhausted).
+    #: The restart strategy declared the job failed (its restart
+    #: budget, ``max_restarts``, was exhausted).
     job_failed: bool = False
     failed_at: Optional[float] = None
     #: Total pipeline-down time across all crashes (drain + restart).

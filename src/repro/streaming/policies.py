@@ -8,22 +8,20 @@ into "survives production weather":
 
 * **Restart strategies** — mirrors of Flink's real restart-strategy
   configurations.  :class:`FixedDelayRestart` waits a constant delay
-  (optionally giving up after ``max_restarts``),
-  :class:`ExponentialBackoffRestart` grows the delay geometrically
-  with deterministic seeded jitter, and :class:`FailureRateRestart`
-  declares the **job failed** when more than ``max_failures`` crashes
-  land inside a sliding ``window`` — the engine then stops with an
-  explicit ``job_failed`` result instead of restarting forever.
+  and :class:`ExponentialBackoffRestart` grows the delay geometrically
+  with deterministic seeded jitter.  Either declares the **job failed**
+  once a crash would exceed its ``max_restarts`` budget — the engine
+  then stops with an explicit ``job_failed`` result instead of
+  restarting forever.
 
 * **Load shedding** for the continuous engine — a bounded source
-  queue.  :class:`DropTailShedding` drops whole arriving slices once
-  ``max_queue_slices`` slices are waiting; :class:`ProbabilisticShedding`
-  sheds an increasing *fraction* of each arriving slice as the queue
-  climbs from ``target_queue_slices`` to ``max_queue_slices`` (the
-  expected-value drop count, so runs stay digest-pinned without the
-  engine drawing random numbers).  Either way the source queue — and
-  with it the latency of every record the engine *keeps* — is bounded
-  at the measured cost of a loss fraction.
+  queue.  :class:`ProbabilisticShedding` sheds an increasing
+  *fraction* of each arriving slice as the queue climbs from
+  ``target_queue_slices`` to ``max_queue_slices`` (the expected-value
+  drop count, so runs stay digest-pinned without the engine drawing
+  random numbers).  The source queue — and with it the latency of
+  every record the engine *keeps* — is bounded at the measured cost
+  of a loss fraction.
 
 * **Adaptive micro-batching** for the D-Stream engine —
   :class:`AdaptiveBatchPolicy` + :class:`BatchIntervalController`, a
@@ -52,14 +50,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "RESTART_STRATEGIES", "FixedDelayRestart", "ExponentialBackoffRestart",
-    "FailureRateRestart", "make_restart_strategy",
-    "DropTailShedding", "ProbabilisticShedding",
+    "FixedDelayRestart", "ExponentialBackoffRestart",
+    "ProbabilisticShedding",
     "AdaptiveBatchPolicy", "BatchIntervalController",
     "compile_crash_schedule", "resolve_policy", "DEGRADE_POLICIES",
 ]
-
-RESTART_STRATEGIES = ("fixed", "backoff", "failure-rate")
 
 #: Policy labels a degradation campaign sweeps: ``"none"`` is the PR 6
 #: behaviour (fixed-delay restarts, no shedding), ``"degrade"`` maps to
@@ -152,110 +147,25 @@ class ExponentialBackoffRestart:
                 "max_restarts": self.max_restarts}
 
 
-@dataclass(frozen=True)
-class FailureRateRestart:
-    """Flink's ``failure-rate`` restart strategy: restart after
-    ``delay`` seconds, but declare the job failed when *more than*
-    ``max_failures`` crashes land within any sliding ``window``
-    seconds — the guard that keeps a flapping job from restarting
-    forever."""
-
-    kind = "failure-rate"
-    max_failures: int = 3
-    window: float = 10.0
-    delay: float = 1.0
-
-    def validate(self) -> None:
-        if self.max_failures < 1:
-            raise ValueError("max_failures must be >= 1")
-        if self.window <= 0:
-            raise ValueError("window must be > 0")
-        if self.delay < 0:
-            raise ValueError("restart delay must be >= 0")
-
-    def decide(self, crashes: Sequence[float],
-               seed: int) -> Optional[float]:
-        now = crashes[-1]
-        recent = sum(1 for t in crashes if t > now - self.window - 1e-12)
-        if recent > self.max_failures:
-            return None
-        return self.delay
-
-    def payload(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "max_failures": self.max_failures,
-                "window": self.window, "delay": self.delay}
-
-
-def make_restart_strategy(kind: str, **kwargs):
-    """Factory by strategy name (CLI/test convenience)."""
-    classes = {"fixed": FixedDelayRestart,
-               "backoff": ExponentialBackoffRestart,
-               "failure-rate": FailureRateRestart}
-    if kind not in classes:
-        raise ValueError(f"unknown restart strategy {kind!r}; "
-                         f"one of {RESTART_STRATEGIES}")
-    strategy = classes[kind](**kwargs)
-    strategy.validate()
-    return strategy
-
-
 # ----------------------------------------------------------------------
 # load shedding (continuous engine)
 # ----------------------------------------------------------------------
-class _BoundedQueueShedding:
-    """Shared latency/drain bounds for bounded-source-queue policies.
-
-    With at most ``max_queue_slices`` slices queued at the source plus
-    the pipeline's in-flight depth (<= 4), every *kept* record waits a
-    bounded number of slice services; under overload each service is a
-    small multiple of the slice width (the pipeline still drains at
-    capacity), so the bounds below are generous constants, not tuning
-    knobs.  Crash downtime and checkpoint replay are accounted for
-    separately by the auditor."""
-
-    max_queue_slices: int
-
-    def p99_bound(self, slice_width: float) -> float:
-        """Latency every kept record stays under while shedding is on."""
-        return (self.max_queue_slices + 8) * 4.0 * slice_width
-
-    def drain_bound(self, slice_width: float) -> float:
-        """Post-load drain bound: the residual queue is bounded, so the
-        drain is too — a shedding run is *stable* by construction."""
-        return (self.max_queue_slices + 8) * 3.0 * slice_width
-
-
 @dataclass(frozen=True)
-class DropTailShedding(_BoundedQueueShedding):
-    """Bounded source buffer with drop-tail semantics: an arriving
-    slice is admitted while fewer than ``max_queue_slices`` slices are
-    queued, and dropped whole otherwise."""
-
-    kind = "drop-tail"
-    max_queue_slices: int = 8
-
-    def validate(self) -> None:
-        if self.max_queue_slices < 1:
-            raise ValueError("max_queue_slices must be >= 1")
-
-    def shed(self, queued: int, count: int) -> int:
-        """Records to drop from an arriving slice of ``count`` records
-        given ``queued`` slices already waiting at the source."""
-        return count if queued >= self.max_queue_slices else 0
-
-    def payload(self) -> Dict[str, Any]:
-        return {"kind": self.kind,
-                "max_queue_slices": self.max_queue_slices}
-
-
-@dataclass(frozen=True)
-class ProbabilisticShedding(_BoundedQueueShedding):
+class ProbabilisticShedding:
     """Probabilistic (random early drop) shedding: below
     ``target_queue_slices`` nothing is shed; between target and
     ``max_queue_slices`` each arriving record would be dropped with
     probability rising linearly to 1.  The engine sheds the
     deterministic expected count ``round(p * count)`` instead of
-    flipping coins, keeping runs digest-pinned."""
+    flipping coins, keeping runs digest-pinned.
+
+    With at most ``max_queue_slices`` slices queued at the source plus
+    the pipeline's in-flight depth (<= 4), every *kept* record waits a
+    bounded number of slice services; under overload each service is a
+    small multiple of the slice width (the pipeline still drains at
+    capacity), so :meth:`p99_bound` and :meth:`drain_bound` are
+    generous constants, not tuning knobs.  Crash downtime and
+    checkpoint replay are accounted for separately by the auditor."""
 
     kind = "probabilistic"
     max_queue_slices: int = 8
@@ -269,6 +179,8 @@ class ProbabilisticShedding(_BoundedQueueShedding):
                              "< max_queue_slices")
 
     def shed(self, queued: int, count: int) -> int:
+        """Records to drop from an arriving slice of ``count`` records
+        given ``queued`` slices already waiting at the source."""
         if queued <= self.target_queue_slices:
             return 0
         if queued >= self.max_queue_slices:
@@ -276,6 +188,15 @@ class ProbabilisticShedding(_BoundedQueueShedding):
         span = self.max_queue_slices - self.target_queue_slices
         fraction = (queued - self.target_queue_slices) / span
         return min(count, int(count * fraction + 0.5))
+
+    def p99_bound(self, slice_width: float) -> float:
+        """Latency every kept record stays under while shedding is on."""
+        return (self.max_queue_slices + 8) * 4.0 * slice_width
+
+    def drain_bound(self, slice_width: float) -> float:
+        """Post-load drain bound: the residual queue is bounded, so the
+        drain is too — a shedding run is *stable* by construction."""
+        return (self.max_queue_slices + 8) * 3.0 * slice_width
 
     def payload(self) -> Dict[str, Any]:
         return {"kind": self.kind,

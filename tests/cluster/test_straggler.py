@@ -30,7 +30,7 @@ def test_straggler_slows_its_own_flows():
     done = {}
 
     def read(idx):
-        yield cluster.disk_read(cluster.node(idx), 150 * MiB)
+        yield cluster.fluid.transfer(150 * MiB, [cluster.node(idx).disk])
         done[idx] = cluster.now
 
     cluster.sim.process(read(0))

@@ -1,4 +1,4 @@
-"""Tests for cluster assembly and the bulk data-movement helpers."""
+"""Tests for cluster assembly and bulk flows over node capacities."""
 
 import pytest
 
@@ -43,7 +43,7 @@ def test_transfer_crosses_both_nics():
     a, b = cluster.nodes
 
     def proc():
-        yield cluster.transfer(a, b, 1192 * MiB)
+        yield cluster.fluid.transfer(1192 * MiB, [a.nic_out, b.nic_in])
 
     cluster.run_process(proc())
     # 10 Gbps = 1250e6 B/s: ~1 second for ~1.19 GiB.
@@ -54,24 +54,13 @@ def test_transfer_crosses_both_nics():
     assert moved_in == pytest.approx(1192 * MiB, rel=1e-6)
 
 
-def test_same_node_transfer_is_loopback():
-    cluster = Cluster(1)
-    node = cluster.node(0)
-
-    def proc():
-        yield cluster.transfer(node, node, 10 * GiB)
-
-    cluster.run_process(proc())
-    assert cluster.now == pytest.approx(0.0)
-    assert node.nic_out.throughput.last_value == 0.0
-
-
-def test_remote_disk_read_is_disk_bound():
+def test_remote_read_flow_is_disk_bound():
     cluster = Cluster(2)
     reader, owner = cluster.nodes
 
     def proc():
-        yield cluster.remote_disk_read(reader, owner, 150 * MiB)
+        yield cluster.fluid.transfer(
+            150 * MiB, [owner.disk, owner.nic_out, reader.nic_in])
 
     cluster.run_process(proc())
     # Disk at 150 MiB/s is far below the NIC: 1 second.
@@ -100,19 +89,6 @@ def test_run_process_detects_stall():
 
     with pytest.raises(RuntimeError, match="stalled"):
         cluster.run_process(stuck())
-
-
-def test_disk_write_charges_space():
-    cluster = Cluster(1)
-    node = cluster.node(0)
-
-    def proc():
-        yield cluster.disk_write(node, 1 * GiB)
-
-    cluster.run_process(proc())
-    assert node.disk_used_bytes == 1 * GiB
-    node.free_disk_space(2 * GiB)  # clamps at zero
-    assert node.disk_used_bytes == 0.0
 
 
 def test_seeded_rng_is_per_cluster():

@@ -98,8 +98,8 @@ def test_monitor_network_combines_directions():
     cluster = Cluster(2)
 
     def xfer():
-        yield cluster.transfer(cluster.node(0), cluster.node(1),
-                               10 * 1192 * MiB)
+        yield cluster.fluid.transfer(
+            10 * 1192 * MiB, [cluster.node(0).nic_out, cluster.node(1).nic_in])
 
     cluster.run_process(xfer())
     frame = ClusterMonitor(cluster).frame(Metric.NETWORK_MIBS, 0,

@@ -16,27 +16,28 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.streaming import (RESTART_STRATEGIES, PoissonArrivals,
-                             StreamingWorkloadModel, compile_crash_schedule,
-                             make_restart_strategy, max_stable_throughput,
+from repro.streaming import (ExponentialBackoffRestart, FixedDelayRestart,
+                             PoissonArrivals, StreamingWorkloadModel,
+                             compile_crash_schedule, max_stable_throughput,
                              resolve_policy, run_streaming)
 
 NODES = 4
 DURATION = 24.0
 MODEL = StreamingWorkloadModel()
+STRATEGY_KINDS = ("fixed", "backoff", "failure")
 
 
 def _strategy_for(kind: str, seed: int):
-    """A deterministic-per-seed instance of each strategy family."""
+    """A deterministic-per-seed instance of each strategy family;
+    ``failure`` is a fixed delay with a budget of 0-2 restarts, so its
+    plans end in explicit job failure."""
     if kind == "fixed":
-        return make_restart_strategy("fixed", delay=0.5 + 0.5 * (seed % 3),
-                                     max_restarts=4)
+        return FixedDelayRestart(delay=0.5 + 0.5 * (seed % 3),
+                                 max_restarts=4)
     if kind == "backoff":
-        return make_restart_strategy("backoff", initial_delay=0.25,
-                                     max_delay=4.0, jitter=0.2)
-    return make_restart_strategy("failure-rate",
-                                 max_failures=1 + seed % 3,
-                                 window=8.0, delay=0.5)
+        return ExponentialBackoffRestart(initial_delay=0.25, max_delay=4.0,
+                                         jitter=0.2)
+    return FixedDelayRestart(delay=0.5, max_restarts=seed % 3)
 
 
 def _chaos_run(engine: str, seed: int, strategy_kind: str, degrade: bool):
@@ -55,18 +56,20 @@ def _chaos_run(engine: str, seed: int, strategy_kind: str, degrade: bool):
 
 
 @pytest.mark.parametrize("engine", ["flink", "spark"])
-@pytest.mark.parametrize("strategy_kind", RESTART_STRATEGIES)
+@pytest.mark.parametrize("strategy_kind", STRATEGY_KINDS)
 @pytest.mark.parametrize("seed", range(3))
 def test_random_crash_plans_terminate_under_strict_audit(
         engine, strategy_kind, seed):
     result = _chaos_run(engine, seed, strategy_kind, degrade=bool(seed % 2))
     ctx = f"seed={seed} {engine}/{strategy_kind}"
     # Termination with an exact ledger is the point; completion is not
-    # guaranteed (the plan may legitimately exhaust a restart budget or
-    # trip the failure-rate cap) but failure must be explicit.
+    # guaranteed (the plan may legitimately exhaust a restart budget)
+    # but failure must be explicit.
     total = result.total_records
     assert (result.processed_records + result.dropped_records
             + result.lost_records == total), ctx
+    if strategy_kind == "failure":
+        assert result.job_failed, ctx
     expected_restarts = len(result.crashes) - (1 if result.job_failed else 0)
     assert result.restarts == expected_restarts, ctx
     if result.job_failed:

@@ -90,8 +90,8 @@ def test_seed_changes_the_digest(small_fig):
 # graceful degradation
 # ----------------------------------------------------------------------
 def _broken_workloads():
-    # flink/pagerank at 4 nodes OOMs in the fault-free baseline; the
-    # cell task raises, which must become a gap — not an abort.
+    # A cell task that raises before simulating anything must become a
+    # gap — not an abort.
     cfg = wordcount_grep_preset(4)
     return [("wordcount", WordCount(4 * 4 * GiB), cfg),
             ("broken", _Exploding(), cfg)]
@@ -123,6 +123,27 @@ def test_gaps_excluded_from_availability():
                            nodes=4, retries=0)
     broken = [c for c in fig.curves() if c.workload == "broken"]
     assert all(math.isnan(c.availability[0]) for c in broken)
+
+
+def test_failed_baseline_is_a_failed_cell_not_a_gap():
+    """flink/pagerank at 4 nodes fails its fault-free run (Table VII's
+    CoGroup out-of-memory), the same way on every attempt and every
+    resume: the cell was simulated, so it is a failed cell, not a gap."""
+    pagerank = [w for w in default_workloads(4) if w[0] == "pagerank"]
+    fig = resilience_sweep(workloads=pagerank, engines=("flink",),
+                           rates=(0.0,), nodes=4, retries=0)
+    assert fig.gaps == []
+    (cell,) = fig.cells
+    assert cell.success is False and not cell.gap
+    assert cell.failure.startswith("fault-free baseline failed: ")
+    assert "CoGroup solution set" in cell.failure
+    assert cell.plan_digest and math.isnan(cell.baseline_seconds)
+    (curve,) = fig.curves()
+    assert curve.availability == [0.0]
+    assert math.isnan(curve.slowdowns[0])
+    out = fig.describe()
+    assert "rate 0: - @0%" in out and "GAPS" not in out
+    assert f"  flink/pagerank: {cell.failure}" in out.splitlines()
 
 
 def test_unknown_workload_name_rejected():

@@ -1,7 +1,7 @@
 """Unit and property tests for the overload-survival policy layer.
 
-Covers the ISSUE 7 tentpole contracts: the restart-strategy family
-(fixed / backoff-with-seeded-jitter / failure-rate cap), the crash
+Covers the restart-strategy family (fixed delay / backoff with seeded
+jitter, each with an optional restart budget), the crash
 schedule compiler, the shedding math, the PID batch-interval
 controller, and their integration into both engines — repeated crash
 sequences (including a second crash landing during the restart drain
@@ -16,12 +16,11 @@ import pytest
 
 from repro.observability import SpanTracer
 from repro.streaming import (AdaptiveBatchPolicy, BatchIntervalController,
-                             DropTailShedding, ExponentialBackoffRestart,
-                             FailureRateRestart, FixedDelayRestart,
+                             ExponentialBackoffRestart, FixedDelayRestart,
                              PoissonArrivals, ProbabilisticShedding,
                              StreamingWorkloadModel, compile_crash_schedule,
-                             make_restart_strategy, max_stable_throughput,
-                             resolve_policy, run_streaming)
+                             max_stable_throughput, resolve_policy,
+                             run_streaming)
 
 MODEL = StreamingWorkloadModel()
 NODES = 4
@@ -69,27 +68,15 @@ def test_backoff_without_jitter_is_exactly_geometric():
         [1.0, 2.0, 4.0, 8.0, 8.0]
 
 
-def test_failure_rate_cap_gives_up_inside_the_window():
-    s = FailureRateRestart(max_failures=2, window=10.0, delay=1.0)
-    assert s.decide([1.0], seed=0) == 1.0
-    assert s.decide([1.0, 2.0], seed=0) == 1.0
-    assert s.decide([1.0, 2.0, 3.0], seed=0) is None
-    # Crashes spread wider than the window never trip the cap.
-    assert s.decide([1.0, 20.0, 40.0, 60.0], seed=0) == 1.0
-
-
-def test_make_restart_strategy_factory_and_validation():
-    assert make_restart_strategy("fixed", delay=3.0).delay == 3.0
-    assert make_restart_strategy("backoff").kind == "backoff"
-    assert make_restart_strategy("failure-rate").kind == "failure-rate"
-    with pytest.raises(ValueError, match="unknown restart strategy"):
-        make_restart_strategy("coin-flip")
+def test_restart_strategy_validation():
+    FixedDelayRestart(delay=3.0).validate()
+    ExponentialBackoffRestart().validate()
     with pytest.raises(ValueError):
-        make_restart_strategy("fixed", delay=-1.0)
+        FixedDelayRestart(delay=-1.0).validate()
     with pytest.raises(ValueError):
-        make_restart_strategy("backoff", jitter=1.5)
+        FixedDelayRestart(max_restarts=-1).validate()
     with pytest.raises(ValueError):
-        make_restart_strategy("failure-rate", window=0.0)
+        ExponentialBackoffRestart(jitter=1.5).validate()
 
 
 # ----------------------------------------------------------------------
@@ -125,14 +112,6 @@ def test_crash_schedule_scales_with_duration_and_rate():
 # ----------------------------------------------------------------------
 # shedding math
 # ----------------------------------------------------------------------
-def test_drop_tail_sheds_whole_slices_past_the_bound():
-    s = DropTailShedding(max_queue_slices=4)
-    assert s.shed(0, 100) == 0
-    assert s.shed(3, 100) == 0
-    assert s.shed(4, 100) == 100
-    assert s.shed(9, 100) == 100
-
-
 def test_probabilistic_shedding_ramps_monotonically():
     s = ProbabilisticShedding(max_queue_slices=8, target_queue_slices=3)
     drops = [s.shed(q, 1000) for q in range(10)]
@@ -231,13 +210,13 @@ def test_second_crash_during_restart_drain_of_the_first(engine):
 
 
 @pytest.mark.parametrize("engine", ["flink", "spark"])
-def test_failure_rate_cap_terminates_with_explicit_job_failed(engine):
+def test_restart_budget_terminates_with_explicit_job_failed(engine):
     cap = CAP_F if engine == "flink" else CAP_S
     r = run_streaming(engine, PoissonArrivals(0.5 * cap), duration=20.0,
                       nodes=NODES, checkpoint_interval=4.0,
                       crash_times=[6.0, 7.0, 8.0, 9.0],
-                      restart_strategy=FailureRateRestart(
-                          max_failures=1, window=60.0, delay=1.0),
+                      restart_strategy=FixedDelayRestart(
+                          delay=1.0, max_restarts=1),
                       strict=True)
     assert r.job_failed
     assert not r.stable
@@ -261,7 +240,7 @@ def test_max_restarts_budget_also_fails_the_job():
 def test_policy_engine_mismatch_rejected():
     with pytest.raises(ValueError, match="continuous engine"):
         run_streaming("spark", PoissonArrivals(1000), duration=1.0,
-                      shedding=DropTailShedding())
+                      shedding=ProbabilisticShedding())
     with pytest.raises(ValueError, match="micro-batch engine"):
         run_streaming("flink", PoissonArrivals(1000), duration=1.0,
                       batch_policy=AdaptiveBatchPolicy())
@@ -301,7 +280,7 @@ def test_p99_bounded_under_2x_overload_with_policy_on(engine, policy):
     cap = CAP_F if engine == "flink" else CAP_S
     kwargs = dict(nodes=NODES, seed=0)
     if engine == "flink":
-        on = dict(shedding=DropTailShedding())
+        on = dict(shedding=ProbabilisticShedding())
     else:
         on = dict(batch_policy=AdaptiveBatchPolicy())
     bounded = run_streaming(engine, PoissonArrivals(2.0 * cap),
@@ -333,7 +312,7 @@ def test_shedding_never_drops_when_underloaded():
 def test_goodput_loss_and_availability_accessors():
     r = run_streaming("flink", PoissonArrivals(1.5 * CAP_F),
                       duration=10.0, nodes=NODES,
-                      shedding=DropTailShedding())
+                      shedding=ProbabilisticShedding())
     assert r.goodput == pytest.approx(r.processed_records / 10.0)
     assert r.loss_fraction == pytest.approx(
         r.dropped_records / r.total_records)
@@ -366,7 +345,7 @@ def test_shed_decisions_are_traced(engine):
     cap = CAP_F if engine == "flink" else CAP_S
     tracer = SpanTracer()
     if engine == "flink":
-        policies = dict(shedding=DropTailShedding())
+        policies = dict(shedding=ProbabilisticShedding())
     else:
         policies = dict(batch_policy=AdaptiveBatchPolicy())
     run_streaming(engine, PoissonArrivals(1.8 * cap), duration=10.0,

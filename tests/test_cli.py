@@ -153,6 +153,25 @@ def test_resilience_command_checkpoint_resume(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_resilience_failed_baseline_is_not_a_missing_cell(tmp_path, capsys):
+    # flink/pagerank at 4 nodes fails its fault-free run every time;
+    # --strict must not report it as a cell for --resume to fill in.
+    argv = ["resilience", "--nodes", "4", "--workloads", "pagerank",
+            "--engines", "flink", "--rates", "0", "--strict"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "rate 0: - @0%" in captured.out
+    assert "fault-free baseline failed" in captured.out
+    assert "GAPS" not in captured.out and "missing" not in captured.err
+    store = ["--checkpoint", str(tmp_path / "store")]
+    assert main(argv + store) == 0
+    first = capsys.readouterr()
+    assert main(argv + store + ["--resume"]) == 0
+    resumed = capsys.readouterr()
+    assert resumed.out == first.out == captured.out
+    assert "missing" not in first.err + resumed.err
+
+
 def test_resilience_resume_requires_checkpoint(capsys):
     with pytest.raises(SystemExit):
         main(["resilience", "--resume"])

@@ -19,10 +19,11 @@ MiB = float(2**20)
 def test_clean_cluster_run_produces_no_violations():
     cluster = Cluster(3, seed=1)
     checker = InvariantChecker().attach(cluster)
-    events = [cluster.disk_read(cluster.node(0), 512 * MiB),
-              cluster.transfer(cluster.node(0), cluster.node(1), 256 * MiB),
-              cluster.remote_disk_read(cluster.node(2), cluster.node(0),
-                                       128 * MiB)]
+    n0, n1, n2 = cluster.nodes
+    events = [cluster.fluid.transfer(512 * MiB, [n0.disk]),
+              cluster.fluid.transfer(256 * MiB, [n0.nic_out, n1.nic_in]),
+              cluster.fluid.transfer(128 * MiB,
+                                     [n0.disk, n0.nic_out, n2.nic_in])]
     cluster.run()
     assert all(e.triggered for e in events)
     checker.audit_cluster(cluster)
@@ -37,7 +38,7 @@ def test_detach_stops_observation():
     checker.detach(cluster)
     assert checker not in cluster.sim.observers
     assert cluster.fluid.checker is None
-    cluster.disk_read(cluster.node(0), MiB)
+    cluster.fluid.transfer(MiB, [cluster.node(0).disk])
     cluster.run()
     assert checker.checks["kernel_step"] == 0
 
@@ -159,7 +160,7 @@ def test_unfair_allocation_across_two_capacities_is_flagged():
 def test_byte_conservation_break_is_flagged():
     cluster = Cluster(1, seed=0)
     checker = InvariantChecker().attach(cluster)
-    cluster.disk_read(cluster.node(0), 512 * MiB)
+    cluster.fluid.transfer(512 * MiB, [cluster.node(0).disk])
     cluster.run()
     # Corrupt the ledger: claim more bytes moved than the trace shows.
     cluster.fluid.bytes_by_capacity["node-000.disk"] += 64 * MiB
